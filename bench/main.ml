@@ -473,8 +473,6 @@ module Bjson = struct
     bdispatched : int;
     bshed : int;
     boptimized : int;
-    bbatched : int;
-    bbatch_k : string; (* "off" | width | "auto" *)
     bgeneric : int;
     bfallbacks : int;
     bfailures : int;
@@ -513,7 +511,7 @@ module Bjson = struct
       d.Podopt_obs.Hist.p50 prefix d.Podopt_obs.Hist.p90 prefix
       d.Podopt_obs.Hist.p99 prefix d.Podopt_obs.Hist.max
 
-  let of_summary ?(bwarm = false) ?(bbatch_k = "off") ?(bckpt_every = 8)
+  let of_summary ?(bwarm = false) ?(bckpt_every = 8)
       ?(bsteal = "off") ?(broute = "hash") ?(barrivals = "periodic")
       ?(bmigrations = 0) ?(bsteals = 0) ?(bcritical = 0) ~bsection ~bkind
       ~bmode ~bshards ~bdomains ~(profile : Bk.Loadgen.profile) ~wall_ns
@@ -532,8 +530,6 @@ module Bjson = struct
       bdispatched = s.Bk.Loadgen.dispatched;
       bshed = s.Bk.Loadgen.shed;
       boptimized = s.Bk.Loadgen.optimized;
-      bbatched = s.Bk.Loadgen.batched;
-      bbatch_k;
       bgeneric = s.Bk.Loadgen.generic;
       bfallbacks = s.Bk.Loadgen.fallbacks;
       bfailures = s.Bk.Loadgen.failures;
@@ -565,7 +561,7 @@ module Bjson = struct
   let write path =
     let b = Buffer.create 4096 in
     Buffer.add_string b "{\n";
-    Buffer.add_string b "  \"schema\": \"podopt/bench-broker/v8\",\n";
+    Buffer.add_string b "  \"schema\": \"podopt/bench-broker/v9\",\n";
     Printf.bprintf b "  \"cores\": %d,\n" (Domain.recommended_domain_count ());
     Buffer.add_string b "  \"entries\": [\n";
     let n = List.length !entries in
@@ -575,8 +571,7 @@ module Bjson = struct
           "    {\"section\": %S, \"kind\": %S, \"mode\": %S, \"shards\": %d, \
            \"domains\": %d, \"sessions\": %d, \"ops\": %d, \"wall_ns\": %Ld, \
            \"busy\": %d, \"makespan\": %d, \"dispatched\": %d, \"shed\": %d, \
-           \"optimized\": %d, \"batched\": %d, \"batch_k\": %S, \
-           \"generic\": %d, \"fallbacks\": %d, \
+           \"optimized\": %d, \"generic\": %d, \"fallbacks\": %d, \
            \"failures\": %d, \"requeued\": %d, \"quarantined\": %d, \
            \"breaker_trips\": %d, \"link_dropped\": %d, \"decode_failures\": %d, \
            \"warm\": %b, \"first_epoch_optimized\": %d, \
@@ -588,7 +583,7 @@ module Bjson = struct
            \"critical_busy\": %d, \"elapsed\": %d, %s, %s, %s}%s\n"
           e.bsection e.bkind e.bmode e.bshards e.bdomains e.bsessions e.bops
           e.bwall_ns e.bbusy e.bmakespan e.bdispatched e.bshed e.boptimized
-          e.bbatched e.bbatch_k e.bgeneric e.bfallbacks e.bfailures
+          e.bgeneric e.bfallbacks e.bfailures
           e.brequeued e.bquarantined
           e.btrips e.bdropped e.bdecode e.bwarm e.bfirst_opt e.bfirst_gen
           e.bckpt_every e.bkills e.brecoveries e.bredelivered e.bcheckpoints
@@ -664,13 +659,9 @@ let run_broker ~bsection ~kind ~shards ~domains ~optimize ~profile ~warmup_ops
       Bjson.record
         (Bjson.of_summary ~bsection
            ~bwarm:(cfg.Bk.Broker.optimize && cfg.Bk.Broker.profile_in <> None)
-           ~bbatch_k:(Bk.Shard.batching_to_string cfg.Bk.Broker.batching)
            ~bckpt_every:cfg.Bk.Broker.checkpoint_every
            ~bkind:(Bk.Workload.kind_to_string kind)
-           ~bmode:
-             (if cfg.Bk.Broker.batching <> Bk.Shard.Off then "batched"
-              else if optimize then "optimized"
-              else "generic")
+           ~bmode:(if optimize then "optimized" else "generic")
            ~bshards:shards ~bdomains:domains ~profile ~wall_ns s);
       (s, wall_ns))
 
@@ -919,86 +910,6 @@ let broker_latency ?(quick = false) () =
      depend only on arrivals and drain cadence, hence barely move)@."
     (ratio od.Podopt_obs.Hist.p50 gd.Podopt_obs.Hist.p50)
     (ratio od.Podopt_obs.Hist.p99 gd.Podopt_obs.Hist.p99)
-
-(* --- Broker: cross-event amortization windows ---------------------------- *)
-
-(* Batched and unbatched drains must produce identical virtual summaries
-   at any domain count; a divergence (or a k >= 4 window costing more
-   per op than the unbatched optimized path) fails the whole bench. *)
-let broker_batch_failed = ref false
-
-let broker_batch ?(quick = false) () =
-  section
-    "Broker: drain windows, per-op busy vs window width k (SecComm, skewed \
-     queue depths)";
-  (* short inter-arrival with a small co-prime spread: ingress queues go
-     deep and unevenly, so drained batches span the width range and Auto
-     has a real distribution to learn from *)
-  let profile =
-    {
-      Bk.Loadgen.default_profile with
-      Bk.Loadgen.sessions = (if quick then 8 else 24);
-      ops = (if quick then 8 else 25);
-      interval = 40;
-      spread = 7;
-    }
-  in
-  let shards = 2 in
-  let run ?(domains = 1) ~optimize ~batching () =
-    fst
-      (run_broker ~bsection:"broker-batch" ~kind:Bk.Workload.Seccomm ~shards
-         ~domains ~optimize ~profile ~warmup_ops:12
-         ~tweak:(fun c -> { c with Bk.Broker.batching })
-         ())
-  in
-  let per_op (s : Bk.Loadgen.summary) =
-    float_of_int s.Bk.Loadgen.busy /. float_of_int (max 1 s.Bk.Loadgen.dispatched)
-  in
-  Fmt.pr "%9s | %10s %8s | %12s %7s | %26s@." "mode" "dispatched" "batched"
-    "busy" "per-op" "batch-depth p50/p99/max";
-  let row name (s : Bk.Loadgen.summary) =
-    let d = s.Bk.Loadgen.latency.Bk.Loadgen.batch_depth in
-    Fmt.pr "%9s | %10d %8d | %12d %7.1f | %8d %8d %8d@." name
-      s.Bk.Loadgen.dispatched s.Bk.Loadgen.batched s.Bk.Loadgen.busy (per_op s)
-      d.Podopt_obs.Hist.p50 d.Podopt_obs.Hist.p99 d.Podopt_obs.Hist.max
-  in
-  let g = run ~optimize:false ~batching:Bk.Shard.Off () in
-  let o = run ~optimize:true ~batching:Bk.Shard.Off () in
-  row "generic" g;
-  row "opt" o;
-  List.iter
-    (fun batching ->
-      let name = "k=" ^ Bk.Shard.batching_to_string batching in
-      let s = run ~optimize:true ~batching () in
-      row name s;
-      (match batching with
-      | Bk.Shard.Fixed k when k >= 4 ->
-        if per_op s >= per_op o then begin
-          broker_batch_failed := true;
-          Fmt.epr
-            "broker-batch: k=%d per-op busy %.1f not below unbatched \
-             optimized %.1f (NO — BUG)@."
-            k (per_op s) (per_op o)
-        end
-      | _ -> ());
-      (* the windows only re-shape charges — the virtual summary must
-         stay bit-identical when the drain goes parallel *)
-      let s2 = run ~domains:2 ~optimize:true ~batching () in
-      if s <> s2 then begin
-        broker_batch_failed := true;
-        Fmt.epr "broker-batch: %s diverged across domain counts (NO — BUG)@."
-          name
-      end)
-    [ Bk.Shard.Fixed 1; Bk.Shard.Fixed 2; Bk.Shard.Fixed 4; Bk.Shard.Fixed 8;
-      Bk.Shard.Auto ];
-  Fmt.pr
-    "@.(each window verifies the binding-version guard once, then charges@. \
-     only the per-op batch step and skips the shared-state lock for the@. \
-     rest of the run, so per-op busy falls as k grows and the lock/guard@. \
-     cost amortizes away; k=auto picks each shard's width from its own@. \
-     observed queue-depth distribution.  Deliveries, accounting and the@. \
-     JSON document are byte-identical at every k and domain count — the@. \
-     windows re-shape virtual charges, never execution order)@."
 
 (* --- Broker: warm start from a profile store ----------------------------- *)
 
@@ -1439,7 +1350,10 @@ let broker_zoo ?(quick = false) () =
   let shards = 4 in
   (* One steady-state run per cell: a tight queue (limit 4, batch 2) so
      the flash-crowd bursts actually pressure the shed policy, and the
-     serve document captured for the domain-identity comparison. *)
+     serve document captured for the domain-identity comparison.  The
+     warm-up is [Loadgen.steady]'s 12 ops: the xwin trace needs that
+     many to cross the analysis threshold, and a cell labelled
+     optimized must actually run optimized (gated below). *)
   let run ~kind ~arrivals ~domains =
     let cfg =
       {
@@ -1458,16 +1372,7 @@ let broker_zoo ?(quick = false) () =
     Fun.protect
       ~finally:(fun () -> Bk.Broker.shutdown b)
       (fun () ->
-        let warm =
-          Bk.Loadgen.make_sessions b { profile with Bk.Loadgen.ops = 6 }
-        in
-        ignore (Bk.Loadgen.run b warm);
-        Bk.Broker.force_reoptimize b;
-        Bk.Broker.reset_measurements b;
-        let sessions = Bk.Loadgen.make_sessions b profile in
-        let t0 = Monotonic_clock.now () in
-        let s = Bk.Loadgen.run b sessions in
-        let wall_ns = Int64.sub (Monotonic_clock.now ()) t0 in
+        let s, wall_ns = timed_steady b profile in
         if s.Bk.Loadgen.truncated then broker_truncated := true;
         let json = Bk.Report.json ~metrics:false b s in
         Bjson.record
@@ -1493,6 +1398,7 @@ let broker_zoo ?(quick = false) () =
           let s1, json1 = run ~kind ~arrivals:spec ~domains:1 in
           let sn, jsonn = run ~kind ~arrivals:spec ~domains:alt_domains in
           let identical = String.equal json1 jsonn && s1 = sn in
+          let optimized = Bk.Loadgen.opt_pct s1 > 0.0 in
           (match spec with
            | Bk.Arrivals.Flash _ ->
              flash_pressure :=
@@ -1504,6 +1410,14 @@ let broker_zoo ?(quick = false) () =
             s1.Bk.Loadgen.dispatched s1.Bk.Loadgen.shed s1.Bk.Loadgen.displaced
             (Bk.Loadgen.opt_pct s1)
             (if identical then "yes" else "NO — BUG");
+          if not optimized then begin
+            broker_zoo_failed := true;
+            Fmt.epr
+              "broker-zoo: %s under %s arrivals is labelled optimized but \
+               served 0.0%% of its dispatches on the optimized path@."
+              (Bk.Workload.kind_to_string kind)
+              (Bk.Arrivals.to_string spec)
+          end;
           if not identical then begin
             broker_zoo_failed := true;
             Fmt.epr
@@ -1600,7 +1514,6 @@ let all_tables () =
   configs ();
   broker ();
   broker_latency ();
-  broker_batch ();
   broker_warm ();
   broker_faults ();
   broker_recovery ();
@@ -1636,7 +1549,6 @@ let () =
         | "configs" -> configs ()
         | "broker" -> broker ~quick ()
         | "broker-latency" -> broker_latency ~quick ()
-        | "broker-batch" -> broker_batch ~quick ()
         | "broker-warm" -> broker_warm ~quick ()
         | "broker-par" -> broker_par ~quick ()
         | "broker-faults" -> broker_faults ~quick ()
@@ -1654,12 +1566,6 @@ let () =
     Fmt.epr "bench: at least one broker run was truncated — results invalid@.";
     exit 1
   end;
-  if !broker_batch_failed then begin
-    Fmt.epr
-      "bench: the batched drain diverged or lost to the unbatched optimized \
-       path — results invalid@.";
-    exit 1
-  end;
   if !broker_recovery_failed then begin
     Fmt.epr
       "bench: crash recovery diverged from the kill-free run or restarted \
@@ -1674,7 +1580,8 @@ let () =
   end;
   if !broker_zoo_failed then begin
     Fmt.epr
-      "bench: a workload-zoo cell diverged across domain counts or the \
-       flash crowd never pressured the queues — results invalid@.";
+      "bench: a workload-zoo cell diverged across domain counts, ran at 0%% \
+       opt-path, or the flash crowd never pressured the queues — results \
+       invalid@.";
     exit 1
   end

@@ -152,8 +152,8 @@ let load_profile = function
      | exception Sys_error msg -> Error msg)
 
 let serve kind sessions shards batch queue_limit ops interval latency jitter
-    policy seed generic warmup domains steal route faults batching
-    checkpoint_every arrivals max_ticks metrics json show_dead redrain_dead
+    policy seed generic warmup domains steal route faults checkpoint_every
+    arrivals max_ticks metrics json show_dead redrain_dead
     profile_in profile_out =
   match
     List.find_opt
@@ -193,7 +193,6 @@ let serve kind sessions shards batch queue_limit ops interval latency jitter
       route;
       faults;
       profile_in;
-      batching;
       checkpoint_every;
       arrivals;
     }
@@ -248,12 +247,10 @@ let serve kind sessions shards batch queue_limit ops interval latency jitter
   if json then print_string (B.Report.json ~metrics broker summary)
   else begin
     Fmt.pr
-      "serving %s: %d sessions -> %d shards (batch %d, batch-k %s, queue limit \
-       %d, policy %s, %s, seed %d, domains %d, faults %s, arrivals %s)@.@."
+      "serving %s: %d sessions -> %d shards (batch %d, queue limit %d, policy \
+       %s, %s, seed %d, domains %d, faults %s, arrivals %s)@.@."
       (B.Workload.kind_to_string kind)
-      sessions shards batch
-      (B.Shard.batching_to_string batching)
-      queue_limit
+      sessions shards batch queue_limit
       (B.Policy.shed_to_string policy)
       (if generic then "generic" else "optimized")
       seed domains
@@ -301,7 +298,7 @@ let serve kind sessions shards batch queue_limit ops interval latency jitter
 (* --- record / replay / diff ----------------------------------------------- *)
 
 let record_run kind sessions shards batch queue_limit ops interval latency
-    jitter policy seed generic warmup domains steal route faults batching
+    jitter policy seed generic warmup domains steal route faults
     checkpoint_every arrivals metrics profile_in out =
   match
     List.find_opt
@@ -340,7 +337,6 @@ let record_run kind sessions shards batch queue_limit ops interval latency
         route;
         faults;
         profile_in;
-        batching;
         checkpoint_every;
         arrivals;
       }
@@ -412,11 +408,9 @@ let diff_run file variant tamper out =
       | "default" -> [ Replay_diff.Optimizer; Replay_diff.Codegen ]
       | "optimizer" -> [ Replay_diff.Optimizer ]
       | "codegen" -> [ Replay_diff.Codegen ]
-      | "batched" -> [ Replay_diff.Batching ]
       | "killed" -> [ Replay_diff.Killed ]
       | "all" ->
-        [ Replay_diff.Optimizer; Replay_diff.Codegen; Replay_diff.Batching;
-          Replay_diff.Killed ]
+        [ Replay_diff.Optimizer; Replay_diff.Codegen; Replay_diff.Killed ]
       | _ -> assert false (* the conv below rejects anything else *)
     in
     let reports = List.map (fun axis -> Replay_diff.run ~tamper axis log) axes in
@@ -703,23 +697,6 @@ let faults_arg =
                observable output stays byte-identical. Example: \
                seed=7,crash=200,kill=150.")
 
-let batching_conv =
-  Arg.conv
-    ( (fun s ->
-        match B.Shard.batching_of_string s with
-        | Ok b -> Ok b
-        | Error msg -> Error (`Msg msg)),
-      fun ppf b -> Fmt.string ppf (B.Shard.batching_to_string b) )
-
-let batch_k_arg =
-  Arg.(value & opt batching_conv B.Shard.Off & info [ "batch-k" ] ~docv:"K"
-         ~doc:"Drain-loop amortization window: $(b,off) (default), a fixed \
-               width $(b,K), or $(b,auto) to pick the width per shard from \
-               the observed queue-depth distribution. Windows amortize the \
-               guard check and shared-state lock across consecutive \
-               same-path ops; observable output is byte-identical at any \
-               setting.")
-
 let intopt name v doc = Arg.(value & opt int v & info [ name ] ~docv:"N" ~doc)
 
 let steal_conv =
@@ -804,13 +781,12 @@ let serve_cmd =
       $ steal_arg
       $ route_arg
       $ faults_arg
-      $ batch_k_arg
       $ checkpoint_every_arg
       $ arrivals_arg
       $ max_ticks_arg
       $ metrics_flag
       $ Arg.(value & flag & info [ "json" ]
-               ~doc:"Print the run as a JSON document (schema podopt/serve/v8) \
+               ~doc:"Print the run as a JSON document (schema podopt/serve/v9) \
                      instead of the tables; deterministic and independent of \
                      --domains.")
       $ Arg.(value & flag & info [ "show-dead" ]
@@ -853,7 +829,6 @@ let record_cmd =
       $ steal_arg
       $ route_arg
       $ faults_arg
-      $ batch_k_arg
       $ checkpoint_every_arg
       $ arrivals_arg
       $ Arg.(value & flag & info [ "metrics" ]
@@ -884,9 +859,8 @@ let replay_cmd =
 let diff_cmd =
   let doc =
     "Differentially test a recorded run: optimizer on vs off, compiled vs \
-     interpreted super-handlers, batched vs unbatched drain, or \
-     killed-and-recovered vs kill-free. On divergence, shrink the log to a \
-     minimal reproducer."
+     interpreted super-handlers, or killed-and-recovered vs kill-free. On \
+     divergence, shrink the log to a minimal reproducer."
   in
   let file =
     Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE"
@@ -894,14 +868,13 @@ let diff_cmd =
   in
   let variant =
     Arg.(value & opt (enum [ ("default", "default"); ("optimizer", "optimizer");
-                             ("codegen", "codegen"); ("batched", "batched");
-                             ("killed", "killed"); ("all", "all") ])
+                             ("codegen", "codegen"); ("killed", "killed");
+                             ("all", "all") ])
            "default"
          & info [ "variant" ] ~docv:"V"
-             ~doc:"Axis to diff: $(b,optimizer), $(b,codegen), $(b,batched) \
-                   (windowed vs plain drain), $(b,killed) (shard kills with \
-                   checkpoint recovery vs kill-free), $(b,all), or \
-                   $(b,default) (optimizer + codegen).")
+             ~doc:"Axis to diff: $(b,optimizer), $(b,codegen), $(b,killed) \
+                   (shard kills with checkpoint recovery vs kill-free), \
+                   $(b,all), or $(b,default) (optimizer + codegen).")
   in
   let tamper =
     Arg.(value & flag & info [ "break-handler" ]

@@ -3,7 +3,7 @@
     amplified to every member).  The whole fan-out runs as a
     synchronous event chain (ChatMsg -> ChatFanout -> ChatDeliver x N),
     so one op's handler work scales with the fan-out width — the
-    amplification pattern the broker's batching and shedding machinery
+    amplification pattern the broker's drain batches and shedding machinery
     is meant to absorb. *)
 
 open Podopt_eventsys

@@ -18,7 +18,6 @@ type config = {
   domains : int;
   faults : Plan.spec;
   profile_in : Store.t option;
-  batching : Shard.batching;
   checkpoint_every : int;
   steal : bool;              (* work-stealing drain + hot-shard migration *)
   route : Shard_map.route;   (* session-to-shard routing discipline *)
@@ -39,12 +38,98 @@ let default_config =
     domains = 1;
     faults = Plan.none;
     profile_in = None;
-    batching = Shard.Off;
     checkpoint_every = 8;
     steal = true;
     route = Shard_map.Hash;
     arrivals = Arrivals.Periodic;
   }
+
+(* --- the config codec: one [key=value] token per field ------------------
+
+   Every field but [profile_in] (a whole store, carried beside the
+   config wherever one is persisted).  Values are the fields' own
+   whitespace-free codecs, so a config is one line of space-separated
+   tokens; a key ends at the first [=], since fault specs contain [=]
+   themselves.  [config_of_string] accepts exactly this key set: an
+   unknown, duplicate or missing key is an error, never a default. *)
+
+let config_fields (c : config) =
+  [
+    ("shards", string_of_int c.shards);
+    ("batch", string_of_int c.batch);
+    ("queue-limit", string_of_int c.queue_limit);
+    ("policy", Policy.shed_to_string c.policy);
+    ("kind", Workload.kind_to_string c.kind);
+    ("optimize", string_of_bool c.optimize);
+    ("compile", string_of_bool c.compile);
+    ("seed", Int64.to_string c.seed);
+    ("tick", string_of_int c.tick);
+    ("domains", string_of_int c.domains);
+    ("faults", Plan.to_string c.faults);
+    ("checkpoint-every", string_of_int c.checkpoint_every);
+    ("steal", string_of_bool c.steal);
+    ("route", Shard_map.route_to_string c.route);
+    ("arrivals", Arrivals.to_string c.arrivals);
+  ]
+
+let config_keys = List.map fst (config_fields default_config)
+
+let config_to_string c =
+  String.concat " " (List.map (fun (k, v) -> k ^ "=" ^ v) (config_fields c))
+
+exception Bad_config of string
+
+let parse_config s =
+  let bad fmt = Printf.ksprintf (fun m -> raise (Bad_config m)) fmt in
+  let pairs =
+    String.split_on_char ' ' s
+    |> List.filter (( <> ) "")
+    |> List.map (fun tok ->
+           match String.index_opt tok '=' with
+           | Some i ->
+             (String.sub tok 0 i, String.sub tok (i + 1) (String.length tok - i - 1))
+           | None -> bad "config token %S is not key=value" tok)
+  in
+  let tbl = Hashtbl.create 16 in
+  List.iter
+    (fun (k, v) ->
+      if not (List.mem k config_keys) then bad "unknown config key %S" k;
+      if Hashtbl.mem tbl k then bad "duplicate config key %S" k;
+      Hashtbl.add tbl k v)
+    pairs;
+  let field k =
+    match Hashtbl.find_opt tbl k with
+    | Some v -> v
+    | None -> bad "missing config key %S" k
+  in
+  let parsed k parse =
+    match parse (field k) with
+    | Some x -> x
+    | None -> bad "bad %s %S" k (field k)
+  in
+  let decoded k parse =
+    match parse (field k) with Ok x -> x | Error e -> bad "bad %s: %s" k e
+  in
+  {
+    shards = parsed "shards" int_of_string_opt;
+    batch = parsed "batch" int_of_string_opt;
+    queue_limit = parsed "queue-limit" int_of_string_opt;
+    policy = decoded "policy" Policy.shed_of_string;
+    kind = decoded "kind" Workload.kind_of_string;
+    optimize = parsed "optimize" bool_of_string_opt;
+    compile = parsed "compile" bool_of_string_opt;
+    seed = parsed "seed" Int64.of_string_opt;
+    tick = parsed "tick" int_of_string_opt;
+    domains = parsed "domains" int_of_string_opt;
+    faults = decoded "faults" Plan.of_string;
+    profile_in = None;
+    checkpoint_every = parsed "checkpoint-every" int_of_string_opt;
+    steal = parsed "steal" bool_of_string_opt;
+    route = decoded "route" Shard_map.route_of_string;
+    arrivals = decoded "arrivals" Arrivals.of_string;
+  }
+
+let config_of_string s = try Ok (parse_config s) with Bad_config m -> Error m
 
 let deliver_event = "BrokerIngress"
 
@@ -139,9 +224,6 @@ let create (cfg : config) =
   if cfg.domains <= 0 then invalid_arg "Broker.create: domains <= 0";
   if cfg.checkpoint_every <= 0 then
     invalid_arg "Broker.create: checkpoint_every <= 0";
-  (match cfg.batching with
-   | Shard.Fixed k when k < 1 -> invalid_arg "Broker.create: batch width < 1"
-   | _ -> ());
   (* the front door is a landing pad for link deliveries, not a measured
      runtime: routing must not consume simulation time, or the clock
      would leap past pending sessions and turn steady traffic into
@@ -153,19 +235,18 @@ let create (cfg : config) =
      runtime.  Aggregation and installation happen here on the
      coordinator — before the pool spawns — so a warm-started run stays
      byte-identical at any domain count. *)
-  let warm, depths =
+  let warm =
     match cfg.profile_in with
     | Some store when cfg.optimize ->
       let agg = Store.aggregate ~kind:(Workload.kind_to_string cfg.kind) store in
-      (Some (agg.Store.agg_graph, agg.Store.agg_signatures), agg.Store.agg_depths)
-    | _ -> (None, [])
+      Some (agg.Store.agg_graph, agg.Store.agg_signatures)
+    | _ -> None
   in
   let shards =
     Array.init cfg.shards (fun id ->
-        Shard.create ~faults:cfg.faults ~compile:cfg.compile ?warm
-          ~batching:cfg.batching ~depths ~id ~kind:cfg.kind
-          ~optimize:cfg.optimize ~queue_limit:cfg.queue_limit ~policy:cfg.policy
-          ())
+        Shard.create ~faults:cfg.faults ~compile:cfg.compile ?warm ~id
+          ~kind:cfg.kind ~optimize:cfg.optimize ~queue_limit:cfg.queue_limit
+          ~policy:cfg.policy ())
   in
   (* the pool spawns after the shards exist: shard construction installs
      HIR primitives and parses programs on the coordinator, so workers

@@ -64,13 +64,6 @@ type config = {
           super-handlers install before the first packet arrives; stale
           entries degrade to generic dispatch (see
           {!Shard.create}) *)
-  batching : Shard.batching;
-      (** drain-loop amortization windows ([--batch-k]): [Off]
-          (default) dispatches exactly as before; [Fixed k] / [Auto]
-          window same-path runs, installing super-handlers as batch
-          entries.  Observables are byte-identical in every mode —
-          only virtual costs change.  With a [profile_in], stored
-          depth observations seed [Auto]'s width model. *)
   checkpoint_every : int;
       (** epochs between shard checkpoints ([--checkpoint-every],
           default 8) when the fault plan can kill shards
@@ -98,8 +91,20 @@ type config = {
 val default_config : config
 (** 2 shards, batch 16, queue limit 64, [Drop_newest], SecComm,
     optimized, compiled, seed 42, tick 50, 1 domain, no faults, no
-    stored profile, batching off, checkpoint every 8 epochs, stealing
-    on, hash routing, periodic arrivals. *)
+    stored profile, checkpoint every 8 epochs, stealing on, hash
+    routing, periodic arrivals. *)
+
+(** One line of space-separated [key=value] tokens, one per field
+    except [profile_in] (persist a store beside it), e.g.
+    ["shards=2 batch=16 queue-limit=64 policy=newest kind=seccomm ..."].
+    The replay log's [C] line is this string. *)
+val config_to_string : config -> string
+
+(** Inverse of {!config_to_string} (with [profile_in = None]).  Token
+    order is free, but the key set must be exactly the one
+    {!config_to_string} writes: an unknown, duplicate or missing key,
+    or a value its field's codec rejects, is an [Error] naming it. *)
+val config_of_string : string -> (config, string) result
 
 type t
 

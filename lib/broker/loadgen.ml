@@ -18,9 +18,7 @@ let default_profile =
 type latency = {
   queue_wait : Hist.dist;
   service_opt : Hist.dist;
-  service_bat : Hist.dist;
   service_gen : Hist.dist;
-  batch_depth : Hist.dist;
 }
 
 type summary = {
@@ -59,12 +57,10 @@ type summary = {
   truncated : bool;
 }
 
-(* Fast-path share: batched dispatches are super-handler dispatches too
-   (they differ only in charging), so they count with the optimized. *)
+(* Fast-path share: super-handler dispatches over all dispatches. *)
 let opt_pct s =
-  let fast = s.optimized + s.batched in
-  let total = fast + s.generic in
-  if total = 0 then 0.0 else 100.0 *. float_of_int fast /. float_of_int total
+  let total = s.optimized + s.generic in
+  if total = 0 then 0.0 else 100.0 *. float_of_int s.optimized /. float_of_int total
 
 let make_sessions broker profile =
   let cfg = Broker.config broker in
@@ -115,7 +111,7 @@ let summarize ?(truncated = false) broker sessions ~elapsed =
     dispatched = sum (fun s -> s.Shard.stats.Shard.dispatched);
     batches = sum (fun s -> s.Shard.stats.Shard.batches);
     optimized = sum Shard.optimized_dispatches;
-    batched = sum Shard.batched_dispatches;
+    batched = 0;
     generic = sum Shard.generic_dispatches;
     fallbacks = sum Shard.fallbacks;
     failures = sum Shard.handler_failures;
@@ -141,9 +137,7 @@ let summarize ?(truncated = false) broker sessions ~elapsed =
        {
          queue_wait = Hist.dist (Metrics.histogram merged "queue_wait");
          service_opt = Exact.dist (Metrics.exact merged "service.optimized");
-         service_bat = Exact.dist (Metrics.exact merged "service.batched");
          service_gen = Exact.dist (Metrics.exact merged "service.generic");
-         batch_depth = Exact.dist (Metrics.exact merged "batch.depth");
        });
     busy = sum Shard.busy;
     makespan = maxi Shard.busy;

@@ -19,15 +19,13 @@ val default_profile : profile
 
 (** Latency percentile summaries from the merged per-shard histograms:
     queue wait in front-clock units (arrival to drain, fresh arrivals
-    only), service time in shard-clock units per op, split by dispatch
-    path (batched / optimized / generic), plus the drained-batch depth
-    distribution.  All-zero when nothing was recorded. *)
+    only) and service time in shard-clock units per op, split by
+    dispatch path (optimized / generic).  All-zero when nothing was
+    recorded. *)
 type latency = {
   queue_wait : Podopt_obs.Hist.dist;
   service_opt : Podopt_obs.Hist.dist;
-  service_bat : Podopt_obs.Hist.dist;
   service_gen : Podopt_obs.Hist.dist;
-  batch_depth : Podopt_obs.Hist.dist;
 }
 
 type summary = {
@@ -44,7 +42,10 @@ type summary = {
   dispatched : int;
   batches : int;
   optimized : int;
-  batched : int;  (** dispatches served inside an amortization window *)
+  batched : int;
+      (** always 0: dispatches no longer split into a windowed path.
+          The field stays only because the wall-clock benchmark in
+          [perfbench/] still adds it to [optimized]. *)
   generic : int;
   fallbacks : int;
   failures : int;       (** handler failures isolated across shards *)
@@ -81,9 +82,8 @@ type summary = {
           run *)
 }
 
-(** Fraction of dispatches that took a super-handler path (optimized or
-    batched), in percent (0 when there were none — an idle run is not
-    "fully optimized"). *)
+(** Fraction of dispatches that took a super-handler path, in percent
+    (0 when there were none — an idle run is not "fully optimized"). *)
 val opt_pct : summary -> float
 
 (** Build the sessions for a profile and register their nack callbacks

@@ -13,62 +13,13 @@ module Recover = Podopt_recover.Recover
 module Exact = Podopt_obs.Exact
 
 (* Histogram names in the shard's metrics registry.  Queue wait is a
-   log-bucketed Hist; the service-time and batch-depth metrics are
-   Exact (full-resolution) histograms — the deterministic cost model
-   lands per-op costs on a handful of exact values, which one log
-   bucket would collapse into a degenerate p50 = p90 = p99 = max. *)
+   log-bucketed Hist; the service-time metrics are Exact
+   (full-resolution) histograms — the deterministic cost model lands
+   per-op costs on a handful of exact values, which one log bucket
+   would collapse into a degenerate p50 = p90 = p99 = max. *)
 let m_queue_wait = "queue_wait"
 let m_service_opt = "service.optimized"
 let m_service_gen = "service.generic"
-let m_service_bat = "service.batched"
-let m_batch_depth = "batch.depth"
-
-(* How the drain loop windows a drained batch. *)
-type batching =
-  | Off          (* no windows; dispatch exactly as before *)
-  | Fixed of int (* windows of at most k ops *)
-  | Auto         (* width from the adaptive controller's depth model *)
-
-let batching_to_string = function
-  | Off -> "off"
-  | Fixed k -> string_of_int k
-  | Auto -> "auto"
-
-let batching_of_string = function
-  | "off" -> Ok Off
-  | "auto" -> Ok Auto
-  | s ->
-    (match int_of_string_opt s with
-     | Some k when k > 0 -> Ok (Fixed k)
-     | Some k -> Error (Printf.sprintf "batch width %d must be positive" k)
-     | None ->
-       Error (Printf.sprintf "bad batch spec %S (expected off|auto|<k>)" s))
-
-(* Split [items] into maximal runs of adjacent items with equal keys,
-   preserving order.  The drain loop keys ops by Workload.path; unit
-   tests drive this directly with synthetic keys. *)
-let segment_runs key items =
-  let flush run acc = if run = [] then acc else List.rev run :: acc in
-  let rec go current_key run acc = function
-    | [] -> List.rev (flush run acc)
-    | x :: rest ->
-      let k = key x in
-      if run <> [] && String.equal k current_key then
-        go current_key (x :: run) acc rest
-      else go k [ x ] (flush run acc) rest
-  in
-  go "" [] [] items
-
-(* Chop one run into slices of at most [width] ops. *)
-let chunk width items =
-  if width < 1 then invalid_arg "Shard.chunk: width < 1";
-  let rec go n slice acc = function
-    | [] -> List.rev (if slice = [] then acc else List.rev slice :: acc)
-    | x :: rest ->
-      if n = width then go 1 [ x ] (List.rev slice :: acc) rest
-      else go (n + 1) (x :: slice) acc rest
-  in
-  go 0 [] [] items
 
 type stats = {
   mutable batches : int;
@@ -112,7 +63,6 @@ type t = {
   mutable metrics : Metrics.t;
   warm_installed : int;  (* super-handlers installed before any packet *)
   warm_stale : int;      (* stored-profile events rejected as stale *)
-  batching : batching;
   stats : stats;
   recov : recov;
   mutable sessions : int;
@@ -138,8 +88,7 @@ type t = {
    metrics hook, ingress queue, adaptive controller, and breaker —
    shared by [create] and by [kill]'s supervised restart, so a
    resurrected shard is wired exactly like a newborn one. *)
-let wire_core ~kind ~optimize ~compile ~batching ~depths ~queue_limit
-    ~shed_policy ~breaker_policy =
+let wire_core ~kind ~optimize ~compile ~queue_limit ~shed_policy ~breaker_policy =
   let inst = Workload.instantiate kind in
   let rt = Workload.runtime inst in
   (* one hostile handler must not abort the drain loop *)
@@ -150,22 +99,9 @@ let wire_core ~kind ~optimize ~compile ~batching ~depths ~queue_limit
      and determinism is untouched *)
   Runtime.on_dispatch rt (fun ev dt -> Metrics.observe metrics ("dispatch." ^ ev) dt);
   let adaptive =
-    if optimize then begin
-      (* with batching on, super-handlers install as Batch entries so
-         the drain loop's windows can amortize their constants *)
-      let policy =
-        {
-          (Workload.adaptive_policy kind) with
-          Adaptive.compile;
-          batch = batching <> Off;
-        }
-      in
-      let a = Adaptive.create ~policy rt in
-      (* warm-start depth evidence: the stored depth observations seed
-         the model so Auto begins at the width the last runs earned *)
-      Adaptive.seed_depths a depths;
-      Some a
-    end
+    if optimize then
+      let policy = { (Workload.adaptive_policy kind) with Adaptive.compile } in
+      Some (Adaptive.create ~policy rt)
     else None
   in
   let breaker =
@@ -178,16 +114,12 @@ let wire_core ~kind ~optimize ~compile ~batching ~depths ~queue_limit
    breaker, metrics)
 
 let create ?faults ?(max_failures = 3) ?(dead_limit = 32) ?breaker
-    ?(compile = true) ?warm ?(batching = Off) ?(depths = []) ~id ~kind ~optimize
-    ~queue_limit ~policy () =
+    ?(compile = true) ?warm ~id ~kind ~optimize ~queue_limit ~policy () =
   if max_failures < 1 then invalid_arg "Shard.create: max_failures < 1";
   if dead_limit < 1 then invalid_arg "Shard.create: dead_limit < 1";
-  (match batching with
-   | Fixed k when k < 1 -> invalid_arg "Shard.create: batch width < 1"
-   | _ -> ());
   let inst, rt, ingress, adaptive, breaker', metrics =
-    wire_core ~kind ~optimize ~compile ~batching ~depths ~queue_limit
-      ~shed_policy:policy ~breaker_policy:breaker
+    wire_core ~kind ~optimize ~compile ~queue_limit ~shed_policy:policy
+      ~breaker_policy:breaker
   in
   (* Warm start: install super-handlers from the stored profile before
      any packet arrives.  Runs on the coordinator (shard construction
@@ -211,7 +143,6 @@ let create ?faults ?(max_failures = 3) ?(dead_limit = 32) ?breaker
     metrics;
     warm_installed;
     warm_stale;
-    batching;
     stats =
       {
         batches = 0;
@@ -275,7 +206,6 @@ let dispatch_one t (p : Packet.t) =
   let before = st.Runtime.handler_failures in
   let t0 = Runtime.now rt in
   let opt0 = st.Runtime.optimized_dispatches in
-  let bat0 = st.Runtime.batched_dispatches in
   (* the differential oracle's broken-handler fixture rewrites payloads
      here; the dispatched (possibly tampered) bytes are what the
      delivery hook observes *)
@@ -315,9 +245,7 @@ let dispatch_one t (p : Packet.t) =
   if ok then begin
     let cost = Runtime.now rt - t0 in
     let path =
-      if st.Runtime.batched_dispatches > bat0 then m_service_bat
-      else if st.Runtime.optimized_dispatches > opt0 then m_service_opt
-      else m_service_gen
+      if st.Runtime.optimized_dispatches > opt0 then m_service_opt else m_service_gen
     in
     Metrics.observe_exact t.metrics path cost
   end;
@@ -352,15 +280,6 @@ let note_failure t (p : Packet.t) =
 let fallbacks t =
   t.rt.Runtime.stats.Runtime.fallbacks + t.rt.Runtime.stats.Runtime.segment_fallbacks
 
-(* The width the drain loop windows runs at right now; 1 disables
-   windows this epoch (Auto with no depth evidence yet). *)
-let window_width t =
-  match t.batching with
-  | Off -> 1
-  | Fixed k -> k
-  | Auto ->
-    (match t.adaptive with Some a -> Adaptive.preferred_width a | None -> 1)
-
 let drain_batch t ~now ~batch =
   match Ingress.drain_timed t.ingress ~max:batch with
   | [] -> 0
@@ -370,49 +289,19 @@ let drain_batch t ~now ~batch =
     let fallbacks0 = fallbacks t in
     let opt0 = t.rt.Runtime.stats.Runtime.optimized_dispatches in
     let gen0 = t.rt.Runtime.stats.Runtime.generic_dispatches in
-    (* the drained size is the depth evidence the adaptive width model
-       feeds on, and the batch.depth distribution operators read *)
-    let depth = List.length pkts in
-    Metrics.observe_exact t.metrics m_batch_depth depth;
-    (match t.adaptive with
-     | Some a -> Adaptive.observe_depth a depth
-     | None -> ());
-    let dispatch_pkt ((due, p) : int * Packet.t) =
-      (* queue wait on the front clock, fresh arrivals only: a retry's
-         due is the shard clock, a different timebase (and its wait is
-         back-pressure policy, not arrival-to-drain latency) *)
-      if not (Hashtbl.mem t.retry (retry_key p)) then
-        Metrics.observe t.metrics m_queue_wait (max 0 (now - due));
-      if dispatch_one t p then begin
-        Hashtbl.remove t.retry (retry_key p);
-        t.stats.dispatched <- t.stats.dispatched + 1
-      end
-      else note_failure t p
-    in
-    (match t.batching with
-     | Off -> List.iter dispatch_pkt pkts
-     | Fixed _ | Auto ->
-       (* segment the drained batch into maximal same-path runs, then
-          window each run in slices of at most [width] ops.  Execution
-          order is exactly the Off order — windows only change what the
-          runtime charges, never what it runs, which is what keeps
-          observables byte-identical at any k. *)
-       let width = window_width t in
-       let runs =
-         segment_runs
-           (fun ((_, p) : int * Packet.t) ->
-             Workload.path t.kind p.Packet.payload)
-           pkts
-       in
-       List.iter
-         (fun run ->
-           List.iter
-             (fun slice ->
-               Runtime.open_batch t.rt;
-               List.iter dispatch_pkt slice;
-               Runtime.close_batch t.rt)
-             (chunk width run))
-         runs);
+    List.iter
+      (fun ((due, p) : int * Packet.t) ->
+        (* queue wait on the front clock, fresh arrivals only: a retry's
+           due is the shard clock, a different timebase (and its wait is
+           back-pressure policy, not arrival-to-drain latency) *)
+        if not (Hashtbl.mem t.retry (retry_key p)) then
+          Metrics.observe t.metrics m_queue_wait (max 0 (now - due));
+        if dispatch_one t p then begin
+          Hashtbl.remove t.retry (retry_key p);
+          t.stats.dispatched <- t.stats.dispatched + 1
+        end
+        else note_failure t p)
+      pkts;
     (* the warm-start ramp observable: how the very first batch after a
        (re)start or measurement reset split between the dispatch paths *)
     if not t.stats.first_epoch_seen then begin
@@ -493,7 +382,6 @@ type snapshot = {
   snap_batches : int;
   snap_dispatched : int;
   snap_optimized : int;
-  snap_batched : int;
   snap_generic : int;
   snap_fallbacks : int;
   snap_handler_failures : int;
@@ -512,34 +400,29 @@ type snapshot = {
   snap_clock : int;
   snap_queue_wait : Hist.dist;
   snap_service_opt : Hist.dist;
-  snap_service_bat : Hist.dist;
   snap_service_gen : Hist.dist;
-  snap_batch_depth : Hist.dist;
 }
 
 let pp_snapshot ppf s =
   Fmt.pf ppf
     "shard %d: sessions %d, offered %d, accepted %d, shed %d, displaced %d, \
      batches %d, \
-     dispatched %d, optimized %d, batched %d, generic %d, fallbacks %d, \
+     dispatched %d, optimized %d, generic %d, fallbacks %d, \
      failures %d, requeued %d, requeue-overflow %d, quarantined %d, \
      dead-dropped %d, breaker-trips %d, kills %d, recoveries %d, redelivered \
-     %d, checkpoints %d, busy %d, clock %d, qwait %a, svc-opt %a, svc-bat %a, \
-     svc-gen %a, depth %a"
+     %d, checkpoints %d, busy %d, clock %d, qwait %a, svc-opt %a, svc-gen %a"
     s.snap_id s.snap_sessions s.snap_offered s.snap_accepted s.snap_shed
     s.snap_displaced
-    s.snap_batches s.snap_dispatched s.snap_optimized s.snap_batched
-    s.snap_generic s.snap_fallbacks s.snap_handler_failures s.snap_requeued
+    s.snap_batches s.snap_dispatched s.snap_optimized s.snap_generic
+    s.snap_fallbacks s.snap_handler_failures s.snap_requeued
     s.snap_requeue_overflow s.snap_quarantined s.snap_dead_dropped
     s.snap_breaker_trips s.snap_kills s.snap_recoveries s.snap_redelivered
     s.snap_checkpoints s.snap_busy s.snap_clock Hist.pp_dist s.snap_queue_wait
-    Hist.pp_dist s.snap_service_opt Hist.pp_dist s.snap_service_bat Hist.pp_dist
-    s.snap_service_gen Hist.pp_dist s.snap_batch_depth
+    Hist.pp_dist s.snap_service_opt Hist.pp_dist s.snap_service_gen
 
 let optimized_dispatches t = t.rt.Runtime.stats.Runtime.optimized_dispatches
-let batched_dispatches t = t.rt.Runtime.stats.Runtime.batched_dispatches
+let batched_dispatches _ = 0
 let generic_dispatches t = t.rt.Runtime.stats.Runtime.generic_dispatches
-let batching t = t.batching
 let warm_installed t = t.warm_installed
 let warm_stale t = t.warm_stale
 let first_epoch_optimized t = t.stats.first_epoch_optimized
@@ -570,9 +453,7 @@ let profile_entry t =
                    (Runtime.handlers t.rt ev) ))
       in
       Some
-        (Store.make_entry
-           ~depths:(Adaptive.depth_snapshot a)
-           ~kind:(Workload.kind_to_string t.kind)
+        (Store.make_entry ~kind:(Workload.kind_to_string t.kind)
            ~shard:t.id ~dispatched:t.stats.dispatched
            ~trace_entries:(Adaptive.profile_trace_entries a)
            ~graph ~chains ~handlers ())
@@ -588,7 +469,6 @@ let counters t : (string * int) list =
   [
     ("rt.generic", st.Runtime.generic_dispatches);
     ("rt.optimized", st.Runtime.optimized_dispatches);
-    ("rt.batched", st.Runtime.batched_dispatches);
     ("rt.fallbacks", st.Runtime.fallbacks);
     ("rt.segment_fallbacks", st.Runtime.segment_fallbacks);
     ("rt.spec_hits", st.Runtime.spec_hits);
@@ -621,7 +501,6 @@ let apply_counters t (cs : (string * int) list) =
   let st = t.rt.Runtime.stats in
   st.Runtime.generic_dispatches <- v "rt.generic";
   st.Runtime.optimized_dispatches <- v "rt.optimized";
-  st.Runtime.batched_dispatches <- v "rt.batched";
   st.Runtime.fallbacks <- v "rt.fallbacks";
   st.Runtime.segment_fallbacks <- v "rt.segment_fallbacks";
   st.Runtime.spec_hits <- v "rt.spec_hits";
@@ -685,8 +564,8 @@ let checkpoint t ~epoch =
 let kill t =
   let inst, rt, ingress, adaptive, breaker, metrics =
     wire_core ~kind:t.kind ~optimize:t.optimize ~compile:t.compile
-      ~batching:t.batching ~depths:[] ~queue_limit:t.queue_limit
-      ~shed_policy:t.shed_policy ~breaker_policy:t.breaker_policy
+      ~queue_limit:t.queue_limit ~shed_policy:t.shed_policy
+      ~breaker_policy:t.breaker_policy
   in
   t.inst <- inst;
   t.rt <- rt;
@@ -750,7 +629,6 @@ let restore t serialized =
    | Some a, Some e ->
      Adaptive.absorb_graph a ~graph:e.Store.graph
        ~trace_entries:e.Store.trace_entries;
-     Adaptive.seed_depths a e.Store.depths;
      ignore (Adaptive.warm_start a ~graph:e.Store.graph
                ~signatures:e.Store.handlers)
    | _ -> ());
@@ -771,9 +649,7 @@ let handler_failures t = t.rt.Runtime.stats.Runtime.handler_failures
 let metrics t = t.metrics
 let queue_wait t = Metrics.histogram t.metrics m_queue_wait
 let service_opt t = Metrics.exact t.metrics m_service_opt
-let service_bat t = Metrics.exact t.metrics m_service_bat
 let service_gen t = Metrics.exact t.metrics m_service_gen
-let batch_depth t = Metrics.exact t.metrics m_batch_depth
 
 let snapshot t =
   let ist = Ingress.stats t.ingress in
@@ -787,7 +663,6 @@ let snapshot t =
     snap_batches = t.stats.batches;
     snap_dispatched = t.stats.dispatched;
     snap_optimized = optimized_dispatches t;
-    snap_batched = batched_dispatches t;
     snap_generic = generic_dispatches t;
     snap_fallbacks = fallbacks t;
     snap_handler_failures = handler_failures t;
@@ -806,9 +681,7 @@ let snapshot t =
     snap_clock = Runtime.now t.rt;
     snap_queue_wait = Hist.dist (queue_wait t);
     snap_service_opt = Exact.dist (service_opt t);
-    snap_service_bat = Exact.dist (service_bat t);
     snap_service_gen = Exact.dist (service_gen t);
-    snap_batch_depth = Exact.dist (batch_depth t);
   }
 
 let reset_measurements t =

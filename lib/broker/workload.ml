@@ -77,8 +77,7 @@ let op_payload kind ~session ~seq =
     Chat_room.message ~fanout:(chat_fanout ~session ~seq) ~size:64
       ((session * 131) + seq)
 
-(* The hot-path key of one op — the drain loop segments its drained
-   batch into maximal same-path runs and windows each run.  Video,
+(* The hot-path key of one op (the dead-letter dump's label).  Video,
    SecComm and Chat serve a single op vocabulary, so the path is
    constant per kind; the X storm is multi-op and keys on the payload's
    opcode byte. *)

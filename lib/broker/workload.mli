@@ -33,8 +33,8 @@ val runtime : instance -> Runtime.t
 (** Deterministic payload for op [seq] of session number [session]. *)
 val op_payload : kind -> session:int -> seq:int -> bytes
 
-(** The hot-path key of an op: ops with equal paths may share one batch
-    window.  Constant per kind for the single-vocabulary workloads;
+(** The hot-path key of an op (how [--show-dead] labels dead letters).
+    Constant per kind for the single-vocabulary workloads;
     the X storm keys on the payload's opcode byte
     (scroll/key/popup). *)
 val path : kind -> bytes -> string

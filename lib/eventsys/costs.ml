@@ -25,14 +25,6 @@ type model = {
   enqueue : int;          (* scheduling an asynchronous activation *)
   interp_step : int;      (* per-AST-node cost of interpreted handlers *)
   compiled_step : int;    (* per-AST-node cost of compiled handlers *)
-  lock_batch : int;       (* per-access cost inside a batch window: the
-                             batch handler holds the state lock across
-                             the whole run of same-path ops, so global
-                             accesses after the first op are free *)
-  batch_step : int;       (* per-dispatch entry cost for ops after the
-                             first inside a verified batch window (the
-                             guard check and call dispatch amortize
-                             across the run) *)
 }
 
 let default =
@@ -50,8 +42,6 @@ let default =
     enqueue = 15;
     interp_step = 7;
     compiled_step = 1;
-    lock_batch = 0;
-    batch_step = 1;
   }
 
 (* A model in which every overhead is free; useful in tests that check
@@ -71,6 +61,4 @@ let free =
     enqueue = 0;
     interp_step = 0;
     compiled_step = 0;
-    lock_batch = 0;
-    batch_step = 0;
   }

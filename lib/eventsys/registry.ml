@@ -12,13 +12,9 @@ type entry = {
   mutable next_order : int;
 }
 
-(* [generation] counts every binding mutation table-wide.  A batch
-   window verifies its guards once and then only has to confirm the
-   generation is unchanged to know every per-event version it checked
-   is still valid (Sec. 3.3's guard, amortized). *)
-type t = { entries : (int, entry) Hashtbl.t; mutable generation : int }
+type t = { entries : (int, entry) Hashtbl.t }
 
-let create () = { entries = Hashtbl.create 32; generation = 0 }
+let create () = { entries = Hashtbl.create 32 }
 
 let entry t (ev : Event.t) : entry =
   match Hashtbl.find_opt t.entries ev.Event.id with
@@ -40,8 +36,7 @@ let bind t ev ?order (h : Handler.t) : unit =
     | rest -> (order, h) :: rest
   in
   e.handlers <- insert e.handlers;
-  e.version <- e.version + 1;
-  t.generation <- t.generation + 1
+  e.version <- e.version + 1
 
 (* Remove all bindings of the handler named [name] from [ev]. *)
 let unbind t ev ~name : bool =
@@ -56,7 +51,6 @@ let unbind t ev ~name : bool =
       e.handlers;
   if !removed > 0 then begin
     e.version <- e.version + 1;
-    t.generation <- t.generation + 1;
     true
   end
   else false
@@ -65,13 +59,11 @@ let unbind_all t ev =
   let e = entry t ev in
   if e.handlers <> [] then begin
     e.handlers <- [];
-    e.version <- e.version + 1;
-    t.generation <- t.generation + 1
+    e.version <- e.version + 1
   end
 
 let handlers t ev : Handler.t list = List.map snd (entry t ev).handlers
 let version t ev : int = (entry t ev).version
-let generation t = t.generation
 let is_bound t ev = (entry t ev).handlers <> []
 
 let events_with_bindings t (tbl : Event.table) : Event.t list =

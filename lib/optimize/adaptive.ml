@@ -24,8 +24,6 @@ type policy = {
   strategy : Plan.chain_strategy;
   max_trace : int;        (* bound the trace to this length *)
   compile : bool;         (* compile super-handlers (vs interpret the HIR) *)
-  batch : bool;           (* install super-handlers as batch entries *)
-  max_batch : int;        (* clamp for the depth model's preferred width *)
 }
 
 let default_policy =
@@ -36,8 +34,6 @@ let default_policy =
     strategy = Plan.Monolithic;
     max_trace = 100_000;
     compile = true;
-    batch = false;
-    max_batch = 16;
   }
 
 (* Inconsistent knobs used to be accepted silently: a negative
@@ -57,9 +53,7 @@ let validate_policy (p : policy) =
     fail "Adaptive.create: threshold %d must be positive" p.threshold;
   if p.min_trace > p.max_trace then
     fail "Adaptive.create: min_trace %d exceeds max_trace %d (re-optimization could never trigger)"
-      p.min_trace p.max_trace;
-  if p.max_batch <= 0 then
-    fail "Adaptive.create: max_batch %d must be positive" p.max_batch
+      p.min_trace p.max_trace
 
 type t = {
   rt : Runtime.t;
@@ -72,12 +66,6 @@ type t = {
   mutable reoptimizations : int;
   mutable warm_installed : int;  (* super-handlers installed by warm_start *)
   mutable warm_stale : int;      (* profile events warm_start rejected *)
-  (* the depth model: an exact depth -> count map of observed drained
-     batch sizes.  [preferred_width] reads its median; the whole map
-     persists through the profile store so warm starts begin batched
-     at the width the last runs earned. *)
-  depths : (int, int) Hashtbl.t;
-  mutable depth_obs : int;
 }
 
 (* Create the controller and enable continuous event tracing.  The
@@ -96,8 +84,6 @@ let create ?(policy = default_policy) (rt : Runtime.t) : t =
     reoptimizations = 0;
     warm_installed = 0;
     warm_stale = 0;
-    depths = Hashtbl.create 16;
-    depth_obs = 0;
   }
 
 let policy (t : t) = t.policy
@@ -133,8 +119,7 @@ let absorb_trace (t : t) =
    applied report when a re-optimization happened. *)
 let reoptimize (t : t) : Driver.applied option =
   let plan =
-    Driver.analyze ~threshold:t.policy.threshold ~strategy:t.policy.strategy
-      ~batch:t.policy.batch t.rt
+    Driver.analyze ~threshold:t.policy.threshold ~strategy:t.policy.strategy t.rt
   in
   if plan.Plan.actions = [] then None
   else begin
@@ -159,54 +144,6 @@ let tick (t : t) : Driver.applied option =
   if should_reoptimize t then reoptimize t else None
 
 let reoptimizations (t : t) = t.reoptimizations
-
-(* --- the depth model ---------------------------------------------------- *)
-
-(* Record one drained-batch size (non-positive sizes — idle pumps — are
-   not depth evidence and are ignored). *)
-let observe_depth (t : t) d =
-  if d > 0 then begin
-    Hashtbl.replace t.depths d
-      (1 + Option.value ~default:0 (Hashtbl.find_opt t.depths d));
-    t.depth_obs <- t.depth_obs + 1
-  end
-
-let depth_observations (t : t) = t.depth_obs
-
-(* Sorted (depth, count) pairs — what the profile store serializes. *)
-let depth_snapshot (t : t) : (int * int) list =
-  Hashtbl.fold (fun d c acc -> (d, c) :: acc) t.depths []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
-
-(* Warm-start seeding from stored depth observations. *)
-let seed_depths (t : t) (pairs : (int * int) list) =
-  List.iter
-    (fun (d, c) ->
-      if d > 0 && c > 0 then begin
-        Hashtbl.replace t.depths d
-          (c + Option.value ~default:0 (Hashtbl.find_opt t.depths d));
-        t.depth_obs <- t.depth_obs + c
-      end)
-    pairs
-
-(* The window width the model currently prefers: the largest power of
-   two at most the median observed depth, clamped to [1, max_batch].
-   Powers of two keep the choice stable under small depth jitter; the
-   median (not the mean) keeps one deep flash-crowd batch from blowing
-   the width up.  1 — plain unwindowed dispatch — until evidence
-   arrives. *)
-let preferred_width (t : t) : int =
-  if t.depth_obs = 0 then 1
-  else begin
-    let rank = Stdlib.max 1 (((50 * t.depth_obs) + 99) / 100) in
-    let rec median seen = function
-      | [] -> 1
-      | (d, c) :: rest -> if seen + c >= rank then d else median (seen + c) rest
-    in
-    let med = median 0 (depth_snapshot t) in
-    let rec pow2 p = if p * 2 <= med then pow2 (p * 2) else p in
-    Stdlib.min (pow2 1) (Stdlib.max 1 t.policy.max_batch)
-  end
 
 (* --- the persistent-profile surface ------------------------------------ *)
 
@@ -253,7 +190,7 @@ let warm_start (t : t) ~(graph : Event_graph.t)
     ~(signatures : (string * string list) list) : warm =
   let plan =
     Driver.plan_of_graph ~threshold:t.policy.threshold ~strategy:t.policy.strategy
-      ~batch:t.policy.batch t.rt graph
+      t.rt graph
   in
   let stale = ref [] in
   let fresh event =

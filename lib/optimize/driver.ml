@@ -28,7 +28,7 @@ let default_threshold = 100
    [analyze]) or a merged cross-run profile (the warm-start path).  The
    runtime is consulted only for current handler bindings. *)
 let plan_of_graph ?(threshold = default_threshold) ?(strategy = Plan.Monolithic)
-    ?(speculate = false) ?(batch = false) (rt : Runtime.t) (g : Event_graph.t) :
+    ?(speculate = false) (rt : Runtime.t) (g : Event_graph.t) :
     Plan.t =
   let reduced = Reduce.reduce g ~threshold in
   let chains = Chains.find reduced in
@@ -57,11 +57,10 @@ let plan_of_graph ?(threshold = default_threshold) ?(strategy = Plan.Monolithic)
     passes = Plan.default_passes;
     subsume = true;
     speculate = speculate_pairs;
-    batch;
   }
 
-let analyze ?threshold ?strategy ?speculate ?batch (rt : Runtime.t) : Plan.t =
-  plan_of_graph ?threshold ?strategy ?speculate ?batch rt
+let analyze ?threshold ?strategy ?speculate (rt : Runtime.t) : Plan.t =
+  plan_of_graph ?threshold ?strategy ?speculate rt
     (Event_graph.of_trace rt.Runtime.trace)
 
 (* --- Application ------------------------------------------------------ *)
@@ -144,10 +143,7 @@ let apply ?(compile = true) (rt : Runtime.t) (plan : Plan.t) : applied =
         add_proc proc;
         let prog' = prog @ [ proc ] in
         let compiled = compile_proc prog' proc.Ast.name in
-        (* batch plans install the same compiled body as a Batch entry,
-           additionally eligible for drain-loop amortization windows *)
-        (if plan.Plan.batch then Runtime.install_batch else Runtime.install_super)
-          rt ~event ~covered ~arity compiled;
+        Runtime.install_super rt ~event ~covered ~arity compiled;
         installed := event :: !installed
       end
   in

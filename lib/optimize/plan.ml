@@ -24,9 +24,6 @@ type t = {
   passes : Pipeline.pass list; (* compiler passes applied to merged bodies *)
   subsume : bool;              (* inline nested sync raises of covered events *)
   speculate : (string * string) list;  (* A -> predicted B prefetch pairs *)
-  batch : bool;
-      (* install monolithic super-handlers as batch entries, eligible
-         for the drain loop's amortization windows *)
 }
 
 let default_passes = Pipeline.default_passes
@@ -38,7 +35,6 @@ let empty =
     passes = default_passes;
     subsume = true;
     speculate = [];
-    batch = false;
   }
 
 let events_of_action = function
@@ -55,9 +51,8 @@ let pp_action ppf = function
       (String.concat " -> " events)
 
 let pp ppf t =
-  Fmt.pf ppf "plan (threshold=%d, subsume=%b%s, passes=[%s]):@." t.threshold
+  Fmt.pf ppf "plan (threshold=%d, subsume=%b, passes=[%s]):@." t.threshold
     t.subsume
-    (if t.batch then ", batch" else "")
     (String.concat "; " (List.map (fun p -> p.Pipeline.name) t.passes));
   List.iter (fun a -> Fmt.pf ppf "  %a@." pp_action a) t.actions;
   List.iter (fun (a, b) -> Fmt.pf ppf "  speculate %s -> %s@." a b) t.speculate

@@ -23,9 +23,6 @@ type t = {
   passes : Pipeline.pass list;  (** compiler passes applied to merged bodies *)
   subsume : bool;               (** inline nested sync raises of covered events *)
   speculate : (string * string) list;  (** successor-prefetch pairs (Sec. 5) *)
-  batch : bool;
-      (** install monolithic super-handlers as {!Podopt_eventsys.Runtime.Batch}
-          entries, eligible for the drain loop's amortization windows *)
 }
 
 val default_passes : Pipeline.pass list

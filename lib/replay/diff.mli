@@ -1,13 +1,11 @@
 (** The differential oracle: execute one recorded log under two broker
     variants and diff their per-session observable outcomes.
 
-    Four axes: {!Optimizer} (adaptive optimization on vs off),
-    {!Codegen} (compiled vs interpreted super-handlers), {!Batching}
-    (windowed vs plain drain — the recorded batch width, or [Auto]
-    when the run was recorded unwindowed), and {!Killed} (shard kills
-    with checkpoint recovery vs a kill-free run — the recorded kill
-    rate, or a default heavy rate when the run was recorded without
-    kills).  The compared
+    Three axes: {!Optimizer} (adaptive optimization on vs off),
+    {!Codegen} (compiled vs interpreted super-handlers), and {!Killed}
+    (shard kills with checkpoint recovery vs a kill-free run — the
+    recorded kill rate, or a default heavy rate when the run was
+    recorded without kills).  The compared
     observables — dispatch order, per-attempt success, a CRC-32 digest
     of every dispatched payload, and each client's
     sent/retry/nack/gave-up accounting — are independent of the cost
@@ -19,7 +17,7 @@
     per-session measured op cap, keeping each cut iff the divergence
     survives. *)
 
-type axis = Optimizer | Codegen | Batching | Killed
+type axis = Optimizer | Codegen | Killed
 
 val axis_label : axis -> string
 

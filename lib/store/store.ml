@@ -6,20 +6,17 @@
    Podopt_replay.Log: one record per line, whitespace-separated fields,
    [#] comments, a [Format_error] on anything malformed.
 
-   Format (version 2; version-1 files still load):
+   Format (version 3, the only version this build reads or writes):
 
-     V 2
+     V 3
      E <id> <kind> <shard> <dispatched> <trace_entries>   entry header
      N <event> <occurrences> <sync> <async> <timed>       graph node
      G <src> <dst> <weight> <sync> <async> <timed>        graph edge
      C <event> <event> ...                                hot chain
      H <event> <handler> <handler> ...                    binding signature
-     D <depth> <count>                                    depth observation
 
-   D lines (new in version 2) record the shard's drained-batch-depth
-   model for the batch-width warm start; they appear in an entry's
-   canonical body only when non-empty, so a version-1 entry's content
-   id is unchanged by the upgrade.
+   Any other version, and the D <depth> <count> records of version 2,
+   are rejected with a [Format_error] naming what was found.
 
    One entry per (run, shard).  An entry's [id] is the CRC-32 of its
    canonical body (every line after the id field, in canonical order),
@@ -40,7 +37,7 @@ module Crc32 = Podopt_crypto.Crc32
 exception Format_error of string
 
 let format_error fmt = Format.kasprintf (fun s -> raise (Format_error s)) fmt
-let version = 2
+let version = 3
 
 type entry = {
   id : string;            (* crc32 (hex) of the canonical body below *)
@@ -52,8 +49,6 @@ type entry = {
   chains : string list list;            (* hot chains at capture time *)
   handlers : (string * string list) list;
       (* event -> ordered handler names at capture time *)
-  depths : (int * int) list;
-      (* drained-batch depth -> observation count (may be empty) *)
 }
 
 type t = entry list  (* sorted by (id, kind, shard); no duplicate ids *)
@@ -111,25 +106,15 @@ let body_lines (e : entry) : string list =
            if hs = [] then Printf.sprintf "H %s" event
            else Printf.sprintf "H %s %s" event (String.concat " " hs))
   in
-  let depths =
-    List.sort compare e.depths
-    |> List.map (fun (d, c) ->
-           if d <= 0 || c <= 0 then
-             format_error "bad depth observation (%d, %d)" d c;
-           Printf.sprintf "D %d %d" d c)
-  in
-  (header :: nodes) @ edges @ chains @ handlers @ depths
+  (header :: nodes) @ edges @ chains @ handlers
 
 let digest_of_lines lines =
   Printf.sprintf "%08x" (Crc32.of_string (String.concat "\n" lines))
 
 (* Build an entry, computing its content id. *)
-let make_entry ?(depths = []) ~kind ~shard ~dispatched ~trace_entries ~graph
-    ~chains ~handlers () =
-  let e =
-    { id = ""; kind; shard; dispatched; trace_entries; graph; chains; handlers;
-      depths = List.sort compare depths }
-  in
+let make_entry ~kind ~shard ~dispatched ~trace_entries ~graph ~chains ~handlers
+    () =
+  let e = { id = ""; kind; shard; dispatched; trace_entries; graph; chains; handlers } in
   { e with id = digest_of_lines (body_lines e) }
 
 let compare_entry (a : entry) (b : entry) =
@@ -186,7 +171,6 @@ type partial = {
   mutable p_edges : (string * string * int * int * int * int) list;
   mutable p_chains : string list list;
   mutable p_handlers : (string * string list) list;
-  mutable p_depths : (int * int) list;
 }
 
 let finish (p : partial) : entry =
@@ -225,7 +209,6 @@ let finish (p : partial) : entry =
       graph;
       chains = List.rev p.p_chains;
       handlers = List.rev p.p_handlers;
-      depths = List.sort compare p.p_depths;
     }
   in
   let derived = digest_of_lines (body_lines e) in
@@ -255,9 +238,10 @@ let of_string (s : string) : t =
     | [] -> ()
     | [ "V"; v ] ->
       let v = int_field "version" v in
-      (* version 1 is a strict subset (no D lines); still accepted *)
-      if v < 1 || v > version then
-        format_error "unsupported store version %d (expected 1..%d)" v version;
+      if v <> version then
+        format_error
+          "unsupported store version %d (this build reads %d; re-record the profile)" v
+          version;
       saw_version := true
     | [ "E"; id; kind; shard; dispatched; trace ] ->
       if not !saw_version then format_error "E line before V line";
@@ -274,7 +258,6 @@ let of_string (s : string) : t =
             p_edges = [];
             p_chains = [];
             p_handlers = [];
-            p_depths = [];
           }
     | [ "N"; name; occ; sync; async; timed ] ->
       let p = in_entry "N" in
@@ -294,9 +277,9 @@ let of_string (s : string) : t =
     | "H" :: event :: handlers ->
       let p = in_entry "H" in
       p.p_handlers <- (event, handlers) :: p.p_handlers
-    | [ "D"; d; c ] ->
-      let p = in_entry "D" in
-      p.p_depths <- (int_field "depth" d, int_field "count" c) :: p.p_depths
+    | "D" :: _ ->
+      format_error "D record %S: depth observations were dropped in store version %d"
+        line version
     | tag :: _ -> format_error "bad record tag %S in line %S" tag line
   in
   List.iter
@@ -329,8 +312,6 @@ type aggregate = {
   agg_signatures : (string * string list) list;
       (* events whose stored binding signature is consistent *)
   agg_conflicts : string list; (* events with disagreeing signatures *)
-  agg_depths : (int * int) list;
-      (* depth observations summed across matching entries *)
   agg_entries : int;           (* entries folded in *)
 }
 
@@ -361,26 +342,10 @@ let aggregate ~kind (t : t) : aggregate =
       sigs []
     |> List.sort compare
   in
-  (* depth evidence is additive: sum the observation counts per depth
-     across entries (the same fold a live depth model performs) *)
-  let depth_tbl : (int, int) Hashtbl.t = Hashtbl.create 16 in
-  List.iter
-    (fun e ->
-      List.iter
-        (fun (d, c) ->
-          Hashtbl.replace depth_tbl d
-            (c + Option.value ~default:0 (Hashtbl.find_opt depth_tbl d)))
-        e.depths)
-    matching;
-  let agg_depths =
-    Hashtbl.fold (fun d c acc -> (d, c) :: acc) depth_tbl []
-    |> List.sort compare
-  in
   {
     agg_graph;
     agg_signatures = signatures;
     agg_conflicts = conflicts;
-    agg_depths;
     agg_entries = List.length matching;
   }
 
@@ -398,13 +363,7 @@ let pp_entry ppf (e : entry) =
     (fun (event, hs) ->
       Fmt.pf ppf "  handlers %s: %s@." event
         (if hs = [] then "(none)" else String.concat ", " hs))
-    (List.sort compare e.handlers);
-  if e.depths <> [] then
-    Fmt.pf ppf "  depths: %s@."
-      (String.concat ", "
-         (List.map
-            (fun (d, c) -> Printf.sprintf "%dx%d" d c)
-            (List.sort compare e.depths)))
+    (List.sort compare e.handlers)
 
 let pp ppf (t : t) =
   Fmt.pf ppf "profile store: %d entries@." (List.length t);

@@ -27,10 +27,6 @@ type entry = {
       (** event -> ordered handler names at capture time; the warm-start
           pass compares these against the live bindings to detect
           staleness *)
-  depths : (int * int) list;
-      (** drained-batch depth -> observation count (version 2; empty
-          for version-1 entries).  Serialized only when non-empty, so a
-          version-1 entry's content id is unchanged by the upgrade. *)
 }
 
 type t = entry list
@@ -38,10 +34,9 @@ type t = entry list
 val entries : t -> entry list
 
 (** Build an entry, deriving its content id.  Raises {!Format_error} on
-    names containing whitespace (no such names exist in this system) or
-    non-positive depth observations. *)
+    names containing whitespace (no such names exist in this system). *)
 val make_entry :
-  ?depths:(int * int) list -> kind:string -> shard:int -> dispatched:int ->
+  kind:string -> shard:int -> dispatched:int ->
   trace_entries:int -> graph:Event_graph.t -> chains:string list list ->
   handlers:(string * string list) list -> unit -> entry
 
@@ -57,7 +52,8 @@ val to_string : t -> string
 
 (** Parse a store; every entry's stored id is re-derived from its
     content and must match.  Raises {!Format_error} on malformed input,
-    unsupported versions, or id/content mismatches. *)
+    any version but {!version}, a version-2 [D] record, or id/content
+    mismatches. *)
 val of_string : string -> t
 
 val save : string -> t -> unit
@@ -71,9 +67,6 @@ type aggregate = {
           entries *)
   agg_conflicts : string list;
       (** events with disagreeing signatures — treated as stale *)
-  agg_depths : (int * int) list;
-      (** depth observations summed across matching entries — what
-          seeds a warm-started shard's batch-width model *)
   agg_entries : int;  (** entries folded in *)
 }
 

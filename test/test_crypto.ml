@@ -101,6 +101,28 @@ let test_xor_involution () =
   Alcotest.(check string) "involution" (Bytes.to_string data)
     (Bytes.to_string (Xor_cipher.decrypt ~key enc))
 
+(* Two domains released by one barrier compute the same CRC at once.
+   Listed first in the suite so that, run alone, this is the table's
+   first use: a lazily built table raises [CamlinternalLazy.Undefined]
+   when two domains force it together.  Workers only record results;
+   the assertions run here, since Alcotest is not domain-safe. *)
+let test_crc32_two_domains () =
+  let go = Podopt_exec.Barrier.create ~parties:2 in
+  let worker () =
+    Domain.spawn (fun () ->
+        Podopt_exec.Barrier.await go;
+        match Crc32.of_string "123456789" with
+        | crc -> Ok crc
+        | exception e -> Error (Printexc.to_string e))
+  in
+  let a = worker () and b = worker () in
+  List.iter
+    (fun d ->
+      match Domain.join d with
+      | Ok crc -> Alcotest.(check int) "check value" 0xCBF43926 crc
+      | Error e -> Alcotest.fail ("CRC-32 raised on a worker domain: " ^ e))
+    [ a; b ]
+
 let test_crc32_vectors () =
   Alcotest.(check int) "check value" 0xCBF43926 (Crc32.of_string "123456789");
   Alcotest.(check int) "empty" 0 (Crc32.of_string "")
@@ -129,6 +151,7 @@ let test_prims_available () =
 
 let suite =
   [
+    Alcotest.test_case "CRC32 on two domains at once" `Quick test_crc32_two_domains;
     Alcotest.test_case "DES classic vector" `Quick test_des_classic_vector;
     Alcotest.test_case "DES zero vector" `Quick test_des_zero_vector;
     Alcotest.test_case "DES ones vector" `Quick test_des_weak_key_ones;

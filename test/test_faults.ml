@@ -492,6 +492,21 @@ let test_e2e_faulty_parallel_deterministic () =
         (seq.summary = par.summary))
     [ 2; 3 ]
 
+let test_breaker_trip_parallel_deterministic () =
+  (* crash faults trip the optimizer breaker mid-run: the trip
+     uninstalls every super-handler, and the run must still be
+     identical across domain counts *)
+  let faults = spec_of "seed=7,crash=300" in
+  let run ~domains =
+    (run_once ~warmup_ops:8 ~domains ~faults ~optimize:true ~shards:2
+       { (profile ~sessions:8 ~ops:10) with B.Loadgen.interval = 60; spread = 11 })
+      .summary
+  in
+  let s1 = run ~domains:1 in
+  let s2 = run ~domains:2 in
+  Alcotest.(check bool) "the breaker tripped" true (s1.B.Loadgen.breaker_trips > 0);
+  Alcotest.(check bool) "identical summary across domain counts" true (s1 = s2)
+
 let prop_faulty_parallel_deterministic =
   (* random fault plans on random small configs: parallel drains must
      never change a faulty run's results either *)
@@ -585,6 +600,8 @@ let suite =
       test_e2e_wire_faults_accounted;
     Alcotest.test_case "faulty runs identical across domains" `Quick
       test_e2e_faulty_parallel_deterministic;
+    Alcotest.test_case "breaker trip stays deterministic across domains" `Quick
+      test_breaker_trip_parallel_deterministic;
     Alcotest.test_case "policy validates attempts" `Quick
       test_policy_attempt_validation;
   ]

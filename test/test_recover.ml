@@ -58,14 +58,12 @@ let gen_entry =
        return (ev, hs))
   in
   let handlers = List.sort_uniq (fun (a, _) (b, _) -> compare a b) handlers in
-  let* depths = list_size (0 -- 3) (pair (1 -- 8) (1 -- 5)) in
-  let depths = List.sort_uniq (fun (a, _) (b, _) -> compare a b) depths in
   return
     (let g = Event_graph.create () in
      List.iter
        (fun (src, dst) -> Event_graph.add_edge g ~src ~dst Podopt_hir.Ast.Sync)
        edges;
-     Store.make_entry ~depths ~kind:"seccomm" ~shard:0 ~dispatched ~trace_entries
+     Store.make_entry ~kind:"seccomm" ~shard:0 ~dispatched ~trace_entries
        ~graph:g ~chains:[] ~handlers ())
 
 let counter_names =

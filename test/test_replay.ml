@@ -9,6 +9,143 @@ module Record = Podopt.Record
 module Replay = Podopt.Replay
 module Diff = Podopt.Replay_diff
 
+(* --- config codec (the C line) ----------------------------------------- *)
+
+(* Every config field the codec carries, over its whole domain: floats
+   in quarter steps so the %g text form is exact, fault specs either
+   none or enabled (a disabled spec prints as "none" and drops its seed
+   by design). *)
+let gen_config =
+  let open QCheck2.Gen in
+  let* shards = 1 -- 64 in
+  let* batch = 1 -- 512 in
+  let* queue_limit = 1 -- 4096 in
+  let* policy = oneofl [ B.Policy.Drop_newest; B.Policy.Drop_oldest ] in
+  let* kind =
+    oneofl [ B.Workload.Video; B.Workload.Seccomm; B.Workload.Xwin; B.Workload.Chat ]
+  in
+  let* optimize = bool in
+  let* compile = bool in
+  let* seed = map Int64.of_int int in
+  let* tick = 1 -- 1000 in
+  let* domains = 1 -- 8 in
+  let* faults =
+    let permille = 0 -- 1000 in
+    oneof
+      [
+        return Podopt.Faults.none;
+        (let* seed = map Int64.of_int int in
+         let* crash = 1 -- 1000 in
+         let* spike = permille in
+         let* spike_cost = 1 -- 100_000 in
+         let* corrupt = permille in
+         let* drop = permille in
+         let* kill = permille in
+         return
+           {
+             Podopt.Faults.seed;
+             crash_permille = crash;
+             spike_permille = spike;
+             spike_cost;
+             corrupt_permille = corrupt;
+             drop_permille = drop;
+             kill_permille = kill;
+           });
+      ]
+  in
+  let* checkpoint_every = 1 -- 64 in
+  let* steal = bool in
+  let* route =
+    oneof
+      [
+        return B.Shard_map.Hash;
+        map (fun q -> B.Shard_map.Zipf (float_of_int q /. 4.0)) (1 -- 12);
+      ]
+  in
+  let* arrivals =
+    oneof
+      [
+        return B.Arrivals.Periodic;
+        return B.Arrivals.Uniform;
+        map (fun q -> B.Arrivals.Pareto (1.0 +. (float_of_int q /. 4.0))) (1 -- 12);
+        map2 (fun t m -> B.Arrivals.Flash (t, m)) (1 -- 5000) (2 -- 16);
+      ]
+  in
+  return
+    {
+      B.Broker.shards;
+      batch;
+      queue_limit;
+      policy;
+      kind;
+      optimize;
+      compile;
+      seed;
+      tick;
+      domains;
+      faults;
+      profile_in = None;
+      checkpoint_every;
+      steal;
+      route;
+      arrivals;
+    }
+
+let prop_config_roundtrip =
+  QCheck2.Test.make ~name:"config codec round-trips every field" ~count:300
+    ~print:B.Broker.config_to_string gen_config (fun cfg ->
+      B.Broker.config_of_string (B.Broker.config_to_string cfg) = Ok cfg)
+
+(* The parser accepts exactly the written key set: an unknown, a
+   duplicate or a missing key is an error naming the key. *)
+let test_config_rejects_bad_keys () =
+  let text = B.Broker.config_to_string B.Broker.default_config in
+  let rejects what ~mentions text =
+    match B.Broker.config_of_string text with
+    | Ok _ -> Alcotest.failf "%s accepted" what
+    | Error msg ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: error %S names %S" what msg mentions)
+        true
+        (Astring_contains.contains msg mentions)
+  in
+  (match B.Broker.config_of_string text with
+   | Ok cfg ->
+     Alcotest.(check bool) "default round-trips" true (cfg = B.Broker.default_config)
+   | Error e -> Alcotest.failf "default config rejected: %s" e);
+  rejects "unknown key" ~mentions:"batch-k" (text ^ " batch-k=off");
+  rejects "duplicate key" ~mentions:"shards" (text ^ " shards=3");
+  let without key =
+    String.split_on_char ' ' text
+    |> List.filter (fun tok -> not (String.starts_with ~prefix:(key ^ "=") tok))
+    |> String.concat " "
+  in
+  rejects "missing key" ~mentions:"tick" (without "tick");
+  rejects "bad value" ~mentions:"shards" ("shards=two " ^ without "shards")
+
+(* --- log version gate ---------------------------------------------------- *)
+
+let test_log_rejects_other_versions () =
+  let text =
+    RL.to_string
+      (Record.run ~warmup_ops:0 B.Broker.default_config
+         { B.Loadgen.default_profile with B.Loadgen.sessions = 1; ops = 1 })
+  in
+  let current = Printf.sprintf "\nV %d\n" RL.version in
+  Alcotest.(check bool) "log carries the current version" true
+    (Astring_contains.contains text current);
+  (* a version-6 log: positional C line, as that format wrote it *)
+  let v6 =
+    "V 6\nC 2 16 64 newest seccomm true true 42 50 1 none off 8 true hash periodic\n"
+  in
+  match RL.of_string v6 with
+  | _ -> Alcotest.fail "v6 log loaded"
+  | exception RL.Format_error msg ->
+    Alcotest.(check string) "error names the version"
+      (Printf.sprintf "unsupported log version 6 (this build reads %d; re-record the run)"
+         RL.version)
+      msg
+
 (* --- log codec round-trip (property) ----------------------------------- *)
 
 let gen_log =
@@ -317,6 +454,10 @@ let test_diff_finds_and_shrinks () =
 
 let suite =
   [
+    Alcotest.test_case "config codec rejects bad keys" `Quick
+      test_config_rejects_bad_keys;
+    Alcotest.test_case "log rejects other versions" `Quick
+      test_log_rejects_other_versions;
     Alcotest.test_case "replay reproduces the document" `Quick
       test_replay_reproduces;
     Alcotest.test_case "replay verifies fault draws" `Quick
@@ -330,4 +471,5 @@ let suite =
     Alcotest.test_case "diff: planted bug found and shrunk" `Quick
       test_diff_finds_and_shrinks;
   ]
-  @ List.map QCheck_alcotest.to_alcotest [ prop_log_roundtrip; prop_replay_identity ]
+  @ List.map QCheck_alcotest.to_alcotest
+      [ prop_config_roundtrip; prop_log_roundtrip; prop_replay_identity ]

@@ -51,11 +51,8 @@ let gen_entry =
   let handlers =
     List.sort_uniq (fun (a, _) (b, _) -> compare a b) handlers
   in
-  let* depths = list_size (0 -- 3) (pair (1 -- 8) (1 -- 5)) in
-  (* one count per depth, as a real depth model produces *)
-  let depths = List.sort_uniq (fun (a, _) (b, _) -> compare a b) depths in
   return
-    (Store.make_entry ~depths ~kind ~shard ~dispatched ~trace_entries ~graph
+    (Store.make_entry ~kind ~shard ~dispatched ~trace_entries ~graph
        ~chains ~handlers ())
 
 let gen_store =
@@ -136,6 +133,26 @@ let test_load_rejects_tamper () =
    | exception Store.Format_error _ -> ());
   (* the pristine text still loads *)
   ignore (Store.of_string text)
+
+(* One version is read: anything else, and the version-2 depth records,
+   fail with an error naming what was found. *)
+let test_load_rejects_other_versions () =
+  let text = Store.to_string (sample_store ()) in
+  let current = Printf.sprintf "V %d" Store.version in
+  let rejects what ~mentions text =
+    match Store.of_string text with
+    | _ -> Alcotest.failf "%s loaded" what
+    | exception Store.Format_error msg ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: error %S names %S" what msg mentions)
+        true
+        (Astring_contains.contains msg mentions)
+  in
+  rejects "v2 store with D lines" ~mentions:"version 2"
+    (replace_first text ~sub:current ~by:"V 2" ^ "D 4 7\nD 8 2\n");
+  rejects "next version" ~mentions:(Printf.sprintf "version %d" (Store.version + 1))
+    (replace_first text ~sub:current ~by:(Printf.sprintf "V %d" (Store.version + 1)));
+  rejects "D record in a current store" ~mentions:"D record" (text ^ "D 4 7\n")
 
 (* --- Adaptive policy validation ----------------------------------------- *)
 
@@ -259,6 +276,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_merge_idempotent;
     QCheck_alcotest.to_alcotest prop_merge_order_independent;
     Alcotest.test_case "load rejects a tampered entry" `Quick test_load_rejects_tamper;
+    Alcotest.test_case "load rejects other versions and D records" `Quick
+      test_load_rejects_other_versions;
     Alcotest.test_case "adaptive rejects inconsistent policies" `Quick
       test_policy_validation;
     Alcotest.test_case "warm start reaches optimized in the first epoch" `Quick
