@@ -491,12 +491,8 @@ module Bjson = struct
     bcheckpoints : int;
     bramp_opt : int;
     bramp_gen : int;
-    bsteal : string; (* "on" | "off" *)
     broute : string; (* "hash" | "zipf:S" *)
     barrivals : string; (* "periodic" | "uniform" | "pareto:A" | "flash:T:M" *)
-    bmigrations : int;
-    bsteals : int;
-    bcritical : int; (* deterministic critical-path busy units *)
     belapsed : int;
     blatency : Bk.Loadgen.latency;
   }
@@ -512,8 +508,7 @@ module Bjson = struct
       d.Podopt_obs.Hist.p99 prefix d.Podopt_obs.Hist.max
 
   let of_summary ?(bwarm = false) ?(bckpt_every = 8)
-      ?(bsteal = "off") ?(broute = "hash") ?(barrivals = "periodic")
-      ?(bmigrations = 0) ?(bsteals = 0) ?(bcritical = 0) ~bsection ~bkind
+      ?(broute = "hash") ?(barrivals = "periodic") ~bsection ~bkind
       ~bmode ~bshards ~bdomains ~(profile : Bk.Loadgen.profile) ~wall_ns
       (s : Bk.Loadgen.summary) =
     {
@@ -548,12 +543,8 @@ module Bjson = struct
       bcheckpoints = s.Bk.Loadgen.checkpoints;
       bramp_opt = s.Bk.Loadgen.ramp_optimized;
       bramp_gen = s.Bk.Loadgen.ramp_generic;
-      bsteal;
       broute;
       barrivals;
-      bmigrations;
-      bsteals;
-      bcritical;
       belapsed = s.Bk.Loadgen.elapsed;
       blatency = s.Bk.Loadgen.latency;
     }
@@ -561,7 +552,7 @@ module Bjson = struct
   let write path =
     let b = Buffer.create 4096 in
     Buffer.add_string b "{\n";
-    Buffer.add_string b "  \"schema\": \"podopt/bench-broker/v9\",\n";
+    Buffer.add_string b "  \"schema\": \"podopt/bench-broker/v10\",\n";
     Printf.bprintf b "  \"cores\": %d,\n" (Domain.recommended_domain_count ());
     Buffer.add_string b "  \"entries\": [\n";
     let n = List.length !entries in
@@ -578,17 +569,15 @@ module Bjson = struct
            \"first_epoch_generic\": %d, \"checkpoint_every\": %d, \
            \"kills\": %d, \"recoveries\": %d, \"redelivered\": %d, \
            \"checkpoints\": %d, \"ramp_optimized\": %d, \
-           \"ramp_generic\": %d, \"steal\": %S, \"route\": %S, \
-           \"arrivals\": %S, \"migrations\": %d, \"steals\": %d, \
-           \"critical_busy\": %d, \"elapsed\": %d, %s, %s, %s}%s\n"
+           \"ramp_generic\": %d, \"route\": %S, \"arrivals\": %S, \
+           \"elapsed\": %d, %s, %s, %s}%s\n"
           e.bsection e.bkind e.bmode e.bshards e.bdomains e.bsessions e.bops
           e.bwall_ns e.bbusy e.bmakespan e.bdispatched e.bshed e.boptimized
           e.bgeneric e.bfallbacks e.bfailures
           e.brequeued e.bquarantined
           e.btrips e.bdropped e.bdecode e.bwarm e.bfirst_opt e.bfirst_gen
           e.bckpt_every e.bkills e.brecoveries e.bredelivered e.bcheckpoints
-          e.bramp_opt e.bramp_gen e.bsteal e.broute e.barrivals e.bmigrations
-          e.bsteals e.bcritical e.belapsed
+          e.bramp_opt e.bramp_gen e.broute e.barrivals e.belapsed
           (dist_json "qwait" e.blatency.Bk.Loadgen.queue_wait)
           (dist_json "svc_opt" e.blatency.Bk.Loadgen.service_opt)
           (dist_json "svc_gen" e.blatency.Bk.Loadgen.service_gen)
@@ -625,10 +614,11 @@ let timed_steady ?(warmup_ops = 12) broker profile =
    with them) are meaningless, so the whole bench run fails. *)
 let broker_truncated = ref false
 
-(* Build a broker, run the steady protocol, record the JSON entry, shut
-   the pool down.  Returns (summary, wall ns). *)
+(* Build a broker, run the steady protocol, record the JSON entry, hand
+   the serve document to [on_doc] if given, shut the pool down.  Returns
+   (summary, wall ns). *)
 let run_broker ~bsection ~kind ~shards ~domains ~optimize ~profile ~warmup_ops
-    ?(tweak = fun c -> c) () =
+    ?(tweak = fun c -> c) ?on_doc () =
   let cfg =
     tweak
       {
@@ -656,10 +646,12 @@ let run_broker ~bsection ~kind ~shards ~domains ~optimize ~profile ~warmup_ops
           (if optimize then "optimized" else "generic")
           shards domains
       end;
+      Option.iter (fun f -> f (Bk.Report.json ~metrics:false b s)) on_doc;
       Bjson.record
         (Bjson.of_summary ~bsection
            ~bwarm:(cfg.Bk.Broker.optimize && cfg.Bk.Broker.profile_in <> None)
            ~bckpt_every:cfg.Bk.Broker.checkpoint_every
+           ~broute:(Bk.Shard_map.route_to_string cfg.Bk.Broker.route)
            ~bkind:(Bk.Workload.kind_to_string kind)
            ~bmode:(if optimize then "optimized" else "generic")
            ~bshards:shards ~bdomains:domains ~profile ~wall_ns s);
@@ -758,6 +750,8 @@ let broker ?(quick = false) () =
 
 let ms ns = Int64.to_float ns /. 1.0e6
 
+let broker_par_failed = ref false
+
 let broker_par ?(quick = false) () =
   section
     (Printf.sprintf
@@ -804,9 +798,11 @@ let broker_par ?(quick = false) () =
           Fmt.pr "%6d %7d | %12.2f %12.2f | %12d %12d | %8.2fx | %s@." shards
             domains (ms gw) (ms ow) g.Bk.Loadgen.busy o.Bk.Loadgen.busy speedup
             (if deterministic then "yes" else "NO — BUG");
-          if not deterministic then
+          if not deterministic then begin
+            broker_par_failed := true;
             Fmt.epr "broker-par: %d shards x %d domains diverged from the \
-                     sequential run@." shards domains)
+                     sequential run@." shards domains
+          end)
         domains_list)
     shard_list;
   Fmt.pr
@@ -854,12 +850,64 @@ let broker_par ?(quick = false) () =
       in
       Fmt.pr "%6d %7d | %12.2f | %10d %6d %8d | %s@." overload_shards domains
         (ms wall) s.Bk.Loadgen.dispatched s.Bk.Loadgen.shed s.Bk.Loadgen.gave_up
-        (if deterministic then "yes" else "NO — BUG"))
+        (if deterministic then "yes" else "NO — BUG");
+      if not deterministic then broker_par_failed := true)
     domains_list;
   Fmt.pr
     "@.(shedding, nacks, and retry backoff all happen on the coordinator's@. \
      routing step, so even an overloaded run is bit-identical at every@. \
-     domain count)@."
+     domain count)@.";
+  section
+    "Broker: uniform vs Zipf-skewed routing under parallel drain (8 shards, \
+     serve document identity)";
+  let rprofile =
+    {
+      Bk.Loadgen.default_profile with
+      Bk.Loadgen.sessions = (if quick then 16 else 32);
+      ops = (if quick then 8 else 12);
+      interval = 80;
+      spread = 31;
+    }
+  in
+  Fmt.pr "%9s %7s | %12s | %10s %12s | %s@." "route" "domains" "wall opt"
+    "dispatched" "cost opt" "identical";
+  List.iter
+    (fun route ->
+      let rname = Bk.Shard_map.route_to_string route in
+      let base = ref None in
+      List.iter
+        (fun domains ->
+          let doc = ref "" in
+          let s, wall =
+            run_broker ~bsection:"broker-par-route" ~kind:Bk.Workload.Seccomm
+              ~shards:8 ~domains ~optimize:true ~profile:rprofile ~warmup_ops:12
+              ~tweak:(fun c -> { c with Bk.Broker.route })
+              ~on_doc:(fun d -> doc := d)
+              ()
+          in
+          (* the serve document (per-shard blocks included) and the
+             summary must equal the sequential run's byte for byte *)
+          let identical =
+            match !base with
+            | None ->
+              base := Some (s, !doc);
+              true
+            | Some (s1, doc1) -> s = s1 && String.equal !doc doc1
+          in
+          Fmt.pr "%9s %7d | %12.2f | %10d %12d | %s@." rname domains (ms wall)
+            s.Bk.Loadgen.dispatched s.Bk.Loadgen.busy
+            (if identical then "yes" else "NO — BUG");
+          if not identical then begin
+            broker_par_failed := true;
+            Fmt.epr "broker-par: route %s at %d domains diverged from the \
+                     sequential serve document@." rname domains
+          end)
+        [ 1; 2; 4 ])
+    [ Bk.Shard_map.Hash; Bk.Shard_map.Zipf 1.2 ];
+  Fmt.pr
+    "@.(Zipf routing piles sessions onto the low shards; the hottest shard@. \
+     is claimed first each epoch, but which worker drains it is scheduling@. \
+     only — the document is identical at every domain count, skewed or not)@."
 
 (* --- Broker: latency distributions --------------------------------------- *)
 
@@ -1185,151 +1233,6 @@ let broker_recovery ?(quick = false) () =
      admission order.  The ramp column shows the first post-recovery batch@. \
      dispatching optimized: restarts are warm, not cold)@."
 
-(* --- broker work-stealing: Zipf skew, deterministic migration ----------- *)
-
-let broker_steal_failed = ref false
-
-let broker_steal ?(quick = false) () =
-  section
-    "Broker work-stealing: Zipf-skewed routing, hot-shard migration \
-     (SecComm steady state)";
-  let profile =
-    {
-      Bk.Loadgen.default_profile with
-      Bk.Loadgen.sessions = (if quick then 16 else 32);
-      ops = (if quick then 8 else 12);
-      interval = 80;
-      spread = 31;
-    }
-  in
-  let shards = 8 in
-  (* One measured run.  Returns the serve document (the byte-compared
-     observable), the summary, and the scheduler's deterministic
-     telemetry: the migration count and the planned critical-path busy
-     (per epoch, each shard's busy is charged to its deterministic
-     owner; the running max over workers is the best makespan the
-     ownership plan allows — steal-race free, so comparable across
-     schedulers and reproducible on any host). *)
-  let run ~route ~domains ~steal =
-    let cfg =
-      {
-        Bk.Broker.default_config with
-        Bk.Broker.shards;
-        kind = Bk.Workload.Seccomm;
-        optimize = true;
-        batch = 16;
-        queue_limit = 256;
-        seed = 11L;
-        domains;
-        steal;
-        route;
-      }
-    in
-    let b = Bk.Broker.create cfg in
-    Fun.protect
-      ~finally:(fun () -> Bk.Broker.shutdown b)
-      (fun () ->
-        let warm =
-          Bk.Loadgen.make_sessions b { profile with Bk.Loadgen.ops = 12 }
-        in
-        ignore (Bk.Loadgen.run b warm);
-        Bk.Broker.force_reoptimize b;
-        Bk.Broker.reset_measurements b;
-        let sessions = Bk.Loadgen.make_sessions b profile in
-        let t0 = Monotonic_clock.now () in
-        let s = Bk.Loadgen.run b sessions in
-        let wall_ns = Int64.sub (Monotonic_clock.now ()) t0 in
-        if s.Bk.Loadgen.truncated then broker_truncated := true;
-        let json = Bk.Report.json ~metrics:false b s in
-        let migrations = Bk.Broker.migration_count b in
-        let critical = Bk.Broker.critical_busy b in
-        (* shards whose owner the planner has moved off the static
-           [i mod domains] pinning (warm-up migrations included: the
-           smoothed plan converges during warm-up and then holds) *)
-        let moved =
-          let owners = Bk.Broker.owners b in
-          let n = ref 0 in
-          Array.iteri (fun i o -> if o <> i mod domains then incr n) owners;
-          !n
-        in
-        Bjson.record
-          (Bjson.of_summary ~bsection:"broker-steal" ~bkind:"seccomm"
-             ~bmode:(if steal then "steal" else "static")
-             ~bsteal:(if steal then "on" else "off")
-             ~broute:(Bk.Shard_map.route_to_string route)
-             ~bmigrations:migrations ~bsteals:(Bk.Broker.steals b)
-             ~bcritical:critical ~bshards:shards ~bdomains:domains ~profile
-             ~wall_ns s);
-        (s, json, moved, critical))
-  in
-  let routes =
-    if quick then [ Bk.Shard_map.Zipf 1.4 ]
-    else [ Bk.Shard_map.Hash; Bk.Shard_map.Zipf 0.9; Bk.Shard_map.Zipf 1.4 ]
-  in
-  let domain_counts = if quick then [ 1; 2 ] else [ 1; 2; 4 ] in
-  Fmt.pr "%9s %7s | %11s %11s %6s | %5s | %9s@." "route" "domains"
-    "static c/op" "steal c/op" "(%)" "moved" "identical";
-  List.iter
-    (fun route ->
-      let rname = Bk.Shard_map.route_to_string route in
-      (* the reference document: sequential drain, static pinning *)
-      let s0, json0, _, _ = run ~route ~domains:1 ~steal:false in
-      List.iter
-        (fun domains ->
-          let s_off, json_off, _, crit_off = run ~route ~domains ~steal:false in
-          let s_on, json_on, moved, crit_on = run ~route ~domains ~steal:true in
-          let identical =
-            String.equal json_on json0 && String.equal json_off json0
-            && s_on = s0 && s_off = s0
-          in
-          let per_op c (s : Bk.Loadgen.summary) =
-            if s.Bk.Loadgen.dispatched = 0 then 0.0
-            else float_of_int c /. float_of_int s.Bk.Loadgen.dispatched
-          in
-          Fmt.pr "%9s %7d | %11.1f %11.1f %6.1f | %5d | %9s@." rname domains
-            (per_op crit_off s_off) (per_op crit_on s_on)
-            (pct (per_op crit_on s_on) (per_op crit_off s_off))
-            moved
-            (if identical then "yes" else "NO — BUG");
-          if not identical then begin
-            broker_steal_failed := true;
-            Fmt.epr
-              "broker-steal: route %s domains %d — observables diverged \
-               across steal on/off or domain counts@."
-              rname domains
-          end;
-          let skewed = match route with Bk.Shard_map.Zipf _ -> true | _ -> false in
-          if skewed && domains >= 2 then begin
-            if moved = 0 then begin
-              broker_steal_failed := true;
-              Fmt.epr
-                "broker-steal: route %s domains %d — the planner never moved \
-                 a shard off static pinning under Zipf skew; the scheduler \
-                 is not being exercised@."
-                rname domains
-            end;
-            if crit_on >= crit_off then begin
-              broker_steal_failed := true;
-              Fmt.epr
-                "broker-steal: route %s domains %d — stealing critical busy \
-                 %d not strictly below static %d on a skewed workload@."
-                rname domains crit_on crit_off
-            end
-          end)
-        domain_counts)
-    routes;
-  Fmt.pr
-    "@.(critical/op is the planned critical path per dispatched op: each@. \
-     epoch charges a shard's busy delta to its deterministic owner and@. \
-     takes the max over workers — the makespan the ownership plan allows,@. \
-     independent of steal races and host core count.  The moved column@. \
-     counts shards the planner has migrated off static [i mod domains]@. \
-     pinning — the smoothed plan converges during warm-up and holds.@. \
-     Under Zipf skew the migrating scheduler must beat static pinning@. \
-     strictly at >= 2 domains while the serve document stays@. \
-     byte-identical; under uniform hash routing there is nothing to@. \
-     rebalance and only identity is checked)@."
-
 (* --- broker workload zoo: open-loop arrivals across workloads ----------- *)
 
 let broker_zoo_failed = ref false
@@ -1517,7 +1420,6 @@ let all_tables () =
   broker_warm ();
   broker_faults ();
   broker_recovery ();
-  broker_steal ();
   broker_zoo ()
 
 let () =
@@ -1553,7 +1455,6 @@ let () =
         | "broker-par" -> broker_par ~quick ()
         | "broker-faults" -> broker_faults ~quick ()
         | "broker-recovery" -> broker_recovery ~quick ()
-        | "broker-steal" -> broker_steal ~quick ()
         | "broker-zoo" -> broker_zoo ~quick ()
         | "bechamel" -> bechamel ()
         | "tables" -> all_tables ()
@@ -1572,10 +1473,10 @@ let () =
        cold — results invalid@.";
     exit 1
   end;
-  if !broker_steal_failed then begin
+  if !broker_par_failed then begin
     Fmt.epr
-      "bench: the work-stealing scheduler diverged from static pinning or \
-       failed to beat it on a skewed workload — results invalid@.";
+      "bench: a parallel drain diverged from the sequential run — results \
+       invalid@.";
     exit 1
   end;
   if !broker_zoo_failed then begin

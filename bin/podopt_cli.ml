@@ -151,23 +151,26 @@ let load_profile = function
        Error (Printf.sprintf "bad profile %s: %s" path msg)
      | exception Sys_error msg -> Error msg)
 
-let serve kind sessions shards batch queue_limit ops interval latency jitter
-    policy seed generic warmup domains steal route faults checkpoint_every
-    arrivals max_ticks metrics json show_dead redrain_dead
-    profile_in profile_out =
+(* The broker flags [serve] and [record] share: the first count that is
+   not positive is a usage error (exit 2) and a bad [--profile-in] store
+   an input error (exit 1); otherwise [k] gets the broker config and
+   the load profile. *)
+let with_broker ?(extra = []) kind sessions shards batch queue_limit ops
+    interval latency jitter policy seed generic domains route faults
+    checkpoint_every arrivals profile_in k =
   match
     List.find_opt
       (fun (v, _) -> v <= 0)
-      [
-        (sessions, "--sessions");
-        (shards, "--shards");
-        (batch, "--batch");
-        (queue_limit, "--queue-limit");
-        (ops, "--ops");
-        (domains, "--domains");
-        (checkpoint_every, "--checkpoint-every");
-        (Option.value max_ticks ~default:1, "--max-ticks");
-      ]
+      ([
+         (sessions, "--sessions");
+         (shards, "--shards");
+         (batch, "--batch");
+         (queue_limit, "--queue-limit");
+         (ops, "--ops");
+         (domains, "--domains");
+         (checkpoint_every, "--checkpoint-every");
+       ]
+      @ extra)
   with
   | Some (_, flag) ->
     Fmt.epr "podopt: %s must be positive@." flag;
@@ -178,40 +181,46 @@ let serve kind sessions shards batch queue_limit ops interval latency jitter
     Fmt.epr "podopt: %s@." msg;
     1
   | Ok profile_in ->
-  let cfg =
-    {
-      B.Broker.default_config with
-      B.Broker.shards;
-      batch;
-      queue_limit;
-      policy;
-      kind;
-      optimize = not generic;
-      seed = Int64.of_int seed;
-      domains;
-      steal;
-      route;
-      faults;
-      profile_in;
-      checkpoint_every;
-      arrivals;
-    }
-  in
+    k
+      {
+        B.Broker.default_config with
+        B.Broker.shards;
+        batch;
+        queue_limit;
+        policy;
+        kind;
+        optimize = not generic;
+        seed = Int64.of_int seed;
+        domains;
+        route;
+        faults;
+        profile_in;
+        checkpoint_every;
+        arrivals;
+      }
+      {
+        B.Loadgen.default_profile with
+        B.Loadgen.sessions;
+        ops;
+        interval;
+        latency;
+        jitter;
+      }
+
+let serve kind sessions shards batch queue_limit ops interval latency jitter
+    policy seed generic warmup domains route faults checkpoint_every
+    arrivals max_ticks metrics json show_dead redrain_dead
+    profile_in profile_out =
+  with_broker
+    ~extra:[ (Option.value max_ticks ~default:1, "--max-ticks") ]
+    kind sessions shards batch queue_limit ops interval latency jitter policy
+    seed generic domains route faults checkpoint_every arrivals profile_in
+  @@ fun cfg profile ->
   let broker = B.Broker.create cfg in
   let summary, saved, redrained =
     Fun.protect
       ~finally:(fun () -> B.Broker.shutdown broker)
       (fun () ->
-        let profile =
-          {
-            B.Loadgen.default_profile with
-            B.Loadgen.sessions;
-            ops;
-            interval;
-            latency;
-            jitter;
-          }
-        in
         let summary =
           B.Loadgen.steady ~warmup_ops:warmup ?max_ticks broker profile
         in
@@ -298,59 +307,12 @@ let serve kind sessions shards batch queue_limit ops interval latency jitter
 (* --- record / replay / diff ----------------------------------------------- *)
 
 let record_run kind sessions shards batch queue_limit ops interval latency
-    jitter policy seed generic warmup domains steal route faults
+    jitter policy seed generic warmup domains route faults
     checkpoint_every arrivals metrics profile_in out =
-  match
-    List.find_opt
-      (fun (v, _) -> v <= 0)
-      [
-        (sessions, "--sessions");
-        (shards, "--shards");
-        (batch, "--batch");
-        (queue_limit, "--queue-limit");
-        (ops, "--ops");
-        (domains, "--domains");
-        (checkpoint_every, "--checkpoint-every");
-      ]
-  with
-  | Some (_, flag) ->
-    Fmt.epr "podopt: %s must be positive@." flag;
-    2
-  | None ->
-  match load_profile profile_in with
-  | Error msg ->
-    Fmt.epr "podopt: %s@." msg;
-    1
-  | Ok profile_in ->
-    let cfg =
-      {
-        B.Broker.default_config with
-        B.Broker.shards;
-        batch;
-        queue_limit;
-        policy;
-        kind;
-        optimize = not generic;
-        seed = Int64.of_int seed;
-        domains;
-        steal;
-        route;
-        faults;
-        profile_in;
-        checkpoint_every;
-        arrivals;
-      }
-    in
-    let profile =
-      {
-        B.Loadgen.default_profile with
-        B.Loadgen.sessions;
-        ops;
-        interval;
-        latency;
-        jitter;
-      }
-    in
+  with_broker kind sessions shards batch queue_limit ops interval latency
+    jitter policy seed generic domains route faults checkpoint_every arrivals
+    profile_in
+  @@ fun cfg profile ->
     let log = Record.run ~warmup_ops:warmup ~metrics cfg profile in
     Replay_log.save out log;
     Fmt.pr "recorded %s run -> %s (%d sessions, %d arrivals, %d fault streams)@."
@@ -699,25 +661,6 @@ let faults_arg =
 
 let intopt name v doc = Arg.(value & opt int v & info [ name ] ~docv:"N" ~doc)
 
-let steal_conv =
-  Arg.conv
-    ( (fun s ->
-        match s with
-        | "on" -> Ok true
-        | "off" -> Ok false
-        | s -> Error (`Msg (Printf.sprintf "expected on or off, got %S" s))),
-      fun ppf b -> Fmt.string ppf (if b then "on" else "off") )
-
-let steal_arg =
-  Arg.(value & opt steal_conv B.Broker.default_config.B.Broker.steal
-       & info [ "steal" ] ~docv:"on|off"
-           ~doc:"Work-stealing shard scheduler (default $(b,on)): with \
-                 --domains > 1, idle worker domains pull shard drains from a \
-                 shared run queue and the coordinator migrates hot shards \
-                 between workers at epoch boundaries. Pure scheduling — \
-                 observable output is byte-identical to $(b,off) (static \
-                 shard-to-worker pinning).")
-
 let route_conv =
   Arg.conv
     ( (fun s ->
@@ -732,7 +675,7 @@ let route_arg =
            ~doc:"Session-to-shard routing: $(b,hash) (default, uniform) or \
                  $(b,zipf:S) (Zipf-skewed with exponent S > 0; shard 0 \
                  hottest). Routing changes which shard serves each session, \
-                 so it IS part of the observable output — unlike --steal.")
+                 so it IS part of the observable output — unlike --domains.")
 
 let checkpoint_every_arg =
   intopt "checkpoint-every" B.Broker.default_config.B.Broker.checkpoint_every
@@ -778,7 +721,6 @@ let serve_cmd =
       $ intopt "domains" 1
           "Worker domains draining the shards in parallel (1 = sequential; \
            results are identical at any domain count)."
-      $ steal_arg
       $ route_arg
       $ faults_arg
       $ checkpoint_every_arg
@@ -826,7 +768,6 @@ let record_cmd =
       $ intopt "domains" 1
           "Worker domains recorded in the log (the replayed document is \
            identical at any domain count)."
-      $ steal_arg
       $ route_arg
       $ faults_arg
       $ checkpoint_every_arg

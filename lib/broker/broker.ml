@@ -19,7 +19,7 @@ type config = {
   faults : Plan.spec;
   profile_in : Store.t option;
   checkpoint_every : int;
-  steal : bool;              (* work-stealing drain + hot-shard migration *)
+  steal : bool;              (* ignored: kept for perfbench/, see .mli *)
   route : Shard_map.route;   (* session-to-shard routing discipline *)
   arrivals : Arrivals.spec;  (* session op arrival process *)
 }
@@ -67,7 +67,6 @@ let config_fields (c : config) =
     ("domains", string_of_int c.domains);
     ("faults", Plan.to_string c.faults);
     ("checkpoint-every", string_of_int c.checkpoint_every);
-    ("steal", string_of_bool c.steal);
     ("route", Shard_map.route_to_string c.route);
     ("arrivals", Arrivals.to_string c.arrivals);
   ]
@@ -78,6 +77,24 @@ let config_to_string c =
   String.concat " " (List.map (fun (k, v) -> k ^ "=" ^ v) (config_fields c))
 
 exception Bad_config of string
+
+(* The range check [create] and [config_of_string] share: every field
+   that counts something must be positive.  Named by codec key. *)
+let check_config c =
+  match
+    List.find_opt
+      (fun (_, v) -> v <= 0)
+      [
+        ("shards", c.shards);
+        ("batch", c.batch);
+        ("queue-limit", c.queue_limit);
+        ("tick", c.tick);
+        ("domains", c.domains);
+        ("checkpoint-every", c.checkpoint_every);
+      ]
+  with
+  | Some (k, _) -> Error (k ^ " <= 0")
+  | None -> Ok ()
 
 let parse_config s =
   let bad fmt = Printf.ksprintf (fun m -> raise (Bad_config m)) fmt in
@@ -110,24 +127,27 @@ let parse_config s =
   let decoded k parse =
     match parse (field k) with Ok x -> x | Error e -> bad "bad %s: %s" k e
   in
-  {
-    shards = parsed "shards" int_of_string_opt;
-    batch = parsed "batch" int_of_string_opt;
-    queue_limit = parsed "queue-limit" int_of_string_opt;
-    policy = decoded "policy" Policy.shed_of_string;
-    kind = decoded "kind" Workload.kind_of_string;
-    optimize = parsed "optimize" bool_of_string_opt;
-    compile = parsed "compile" bool_of_string_opt;
-    seed = parsed "seed" Int64.of_string_opt;
-    tick = parsed "tick" int_of_string_opt;
-    domains = parsed "domains" int_of_string_opt;
-    faults = decoded "faults" Plan.of_string;
-    profile_in = None;
-    checkpoint_every = parsed "checkpoint-every" int_of_string_opt;
-    steal = parsed "steal" bool_of_string_opt;
-    route = decoded "route" Shard_map.route_of_string;
-    arrivals = decoded "arrivals" Arrivals.of_string;
-  }
+  let c =
+    {
+      shards = parsed "shards" int_of_string_opt;
+      batch = parsed "batch" int_of_string_opt;
+      queue_limit = parsed "queue-limit" int_of_string_opt;
+      policy = decoded "policy" Policy.shed_of_string;
+      kind = decoded "kind" Workload.kind_of_string;
+      optimize = parsed "optimize" bool_of_string_opt;
+      compile = parsed "compile" bool_of_string_opt;
+      seed = parsed "seed" Int64.of_string_opt;
+      tick = parsed "tick" int_of_string_opt;
+      domains = parsed "domains" int_of_string_opt;
+      faults = decoded "faults" Plan.of_string;
+      profile_in = None;
+      checkpoint_every = parsed "checkpoint-every" int_of_string_opt;
+      steal = default_config.steal;
+      route = decoded "route" Shard_map.route_of_string;
+      arrivals = decoded "arrivals" Arrivals.of_string;
+    }
+  in
+  match check_config c with Ok () -> c | Error e -> bad "%s" e
 
 let config_of_string s = try Ok (parse_config s) with Bad_config m -> Error m
 
@@ -154,34 +174,6 @@ type t = {
   journals : Recover.journal array;
   checkpoints : string array;
   mutable epoch : int;  (* drain epochs since creation *)
-  (* --- the stealing scheduler (see doc/SCHEDULER.md) ---------------
-     [owner] is the shard-to-preferred-worker map the coordinator
-     migrates at epoch boundaries; everything observable stays
-     byte-identical whatever it says, because shard results never
-     depend on which domain drains them.  [owner], [load_ema] and
-     the migration plan are pure functions of recorded state, so they
-     are identical from run to run; [executed_by]/[steals] record the
-     actual (racy) claim schedule and are telemetry only — they must
-     never feed snapshots, summaries, or serve JSON. *)
-  owner : int array;              (* shard -> preferred worker *)
-  load_ema : int array;
-      (* exponentially smoothed pre-drain ingress depth per shard,
-         fixed-point at scale 8 with decay 1/8 (steady state = 8x the
-         per-epoch depth).  Smoothing keeps the planner blind to
-         single-epoch ripple and responsive to sustained heat. *)
-  mutable have_depths : bool;
-  prev_busy : int array;          (* per-shard busy at epoch start *)
-  wbusy : int array;              (* scratch: per-worker busy this epoch *)
-  executed_by : int array;        (* per-shard claiming worker (scratch) *)
-  stolen : int array;             (* per-shard off-owner drains (telemetry) *)
-  migrated : int array;           (* per-shard migration count *)
-  mutable steals : int;           (* total off-owner drains (telemetry) *)
-  mutable migrations : (int * int * int * int) list;
-      (* (epoch, shard, from, to), newest first — deterministic *)
-  mutable sched_epoch : int;      (* scheduler epochs since reset *)
-  mutable critical : int;
-      (* accumulated per-epoch max planned worker busy: the scheduler's
-         critical path under the deterministic ownership plan *)
 }
 
 let config t = t.cfg
@@ -219,11 +211,7 @@ let route t (pkt : Packet.t) =
 let journal_limit cfg = max 64 (cfg.checkpoint_every * ((4 * cfg.batch) + 1))
 
 let create (cfg : config) =
-  if cfg.shards <= 0 then invalid_arg "Broker.create: shards <= 0";
-  if cfg.batch <= 0 then invalid_arg "Broker.create: batch <= 0";
-  if cfg.domains <= 0 then invalid_arg "Broker.create: domains <= 0";
-  if cfg.checkpoint_every <= 0 then
-    invalid_arg "Broker.create: checkpoint_every <= 0";
+  Result.iter_error (fun e -> invalid_arg ("Broker.create: " ^ e)) (check_config cfg);
   (* the front door is a landing pad for link deliveries, not a measured
      runtime: routing must not consume simulation time, or the clock
      would leap past pending sessions and turn steady traffic into
@@ -278,18 +266,6 @@ let create (cfg : config) =
             Recover.journal ~limit:(journal_limit cfg));
       checkpoints = Array.make cfg.shards "";
       epoch = 0;
-      owner = Array.init cfg.shards (fun i -> i mod cfg.domains);
-      load_ema = Array.make cfg.shards 0;
-      have_depths = false;
-      prev_busy = Array.make cfg.shards 0;
-      wbusy = Array.make cfg.domains 0;
-      executed_by = Array.make cfg.shards (-1);
-      stolen = Array.make cfg.shards 0;
-      migrated = Array.make cfg.shards 0;
-      steals = 0;
-      migrations = [];
-      sched_epoch = 0;
-      critical = 0;
     }
   in
   (* the epoch-0 checkpoints: a kill before the first periodic capture
@@ -376,92 +352,15 @@ let supervise t =
       end)
     t.shards
 
-(* One epoch's migration plan: a pure function of the previously
-   observed per-shard queue depths, the current ownership map, and the
-   domain count — nothing schedule-dependent enters, so the plan (and
-   the whole ownership history) is identical from run to run.  Greedy
-   rebalance: while the heaviest worker carries more than the lightest,
-   move the heaviest shard that strictly shrinks the gap (classical LPT
-   condition [depth < gap]; ties break to the lowest index).  Returns
-   the moves as [(shard, from, to)] in decision order. *)
-let migration_plan ~domains ~depths owner =
-  if domains <= 1 then []
-  else begin
-    let load = Array.make domains 0 in
-    Array.iteri (fun i o -> load.(o) <- load.(o) + depths.(i)) owner;
-    (* hysteresis: transient depth noise on a balanced workload produces
-       small gaps in every epoch; churning ownership over them costs
-       locality and buys nothing.  Only rebalance gaps that exceed both
-       an absolute floor (2 ops at the ema's scale of 8) and half the
-       mean per-worker load — a genuinely hot worker, not a ripple. *)
-    let threshold =
-      max 16 (Array.fold_left ( + ) 0 load / (2 * domains))
-    in
-    let owner = Array.copy owner in
-    let moves = ref [] in
-    let continue = ref true in
-    (* each accepted move strictly shrinks the max-min gap, so the loop
-       terminates; the budget is a belt on top of those braces *)
-    let budget = ref (4 * Array.length owner) in
-    while !continue && !budget > 0 do
-      decr budget;
-      let wmax = ref 0 and wmin = ref 0 in
-      for w = 1 to domains - 1 do
-        if load.(w) > load.(!wmax) then wmax := w;
-        if load.(w) < load.(!wmin) then wmin := w
-      done;
-      let gap = load.(!wmax) - load.(!wmin) in
-      if gap <= threshold then continue := false
-      else begin
-        let best = ref (-1) in
-        Array.iteri
-          (fun i o ->
-            if
-              o = !wmax && depths.(i) > 0 && depths.(i) < gap
-              && (!best = -1 || depths.(i) > depths.(!best))
-            then best := i)
-          owner;
-        match !best with
-        | -1 -> continue := false
-        | i ->
-          owner.(i) <- !wmin;
-          load.(!wmax) <- load.(!wmax) - depths.(i);
-          load.(!wmin) <- load.(!wmin) + depths.(i);
-          moves := (i, !wmax, !wmin) :: !moves
-      end
-    done;
-    List.rev !moves
-  end
-
-(* The scheduler's epoch boundary, on the coordinator: apply the
-   migration plan decided from the depths observed over PREVIOUS epochs
-   (the smoothed [load_ema]), then fold this epoch's pre-drain depths
-   into the ema for the next decision.  Runs only in steal mode with a
-   real pool — static pinning never migrates. *)
-let rebalance t ~depths =
-  if t.have_depths then
-    List.iter
-      (fun (i, from_w, to_w) ->
-        t.owner.(i) <- to_w;
-        t.migrated.(i) <- t.migrated.(i) + 1;
-        t.migrations <- (t.sched_epoch, i, from_w, to_w) :: t.migrations)
-      (migration_plan ~domains:t.cfg.domains ~depths:t.load_ema t.owner);
-  Array.iteri
-    (fun i d -> t.load_ema.(i) <- t.load_ema.(i) - (t.load_ema.(i) / 8) + d)
-    depths;
-  t.have_depths <- true
-
 (* One drain epoch.  Sequential: shards drain in shard-id order on the
-   caller.  Parallel with [steal = false]: shard [i] is pinned to pool
-   worker [i mod domains], each worker walks its shards in increasing
-   id.  Parallel with [steal = true]: the coordinator freezes the
-   epoch's shard list hottest-first into a {!Podopt_exec.Deque} and
-   idle workers claim shards with an atomic fetch-and-add — whole-shard
-   stealing, zero-copy, because the shard struct (state, ingress queue,
+   caller.  Parallel: the coordinator freezes the epoch's shard list
+   hottest-first (by pre-drain ingress depth, shard-id tie break) into
+   the pool's shared run-queue, and idle workers claim whole shards —
+   zero-copy, because the shard struct (state, ingress queue,
    retry/dead tables, fault streams, adaptive profile) is the unit of
-   work and never moves in memory.  In every mode the pool's barrier
-   separates this drain step from the next routing step, each shard is
-   claimed exactly once per epoch, and [now] is captured once on the
+   work and never moves in memory.  The pool's barrier separates this
+   drain step from the next routing step, each shard is claimed
+   exactly once per epoch, and [now] is captured once on the
    coordinator — so every shard sees the exact batch boundaries and
    dispatch order of the sequential run, and no shard is ever touched
    by two domains at once.  Which worker drains a shard is pure
@@ -471,80 +370,31 @@ let rebalance t ~depths =
    kill draws, recoveries, checkpoints, and the journal's epoch marks
    all precede the (possibly parallel) drain, which is why per-shard
    results stay byte-identical at any domain count even while shards
-   die and resurrect.  Recovery composes with stealing for free:
-   checkpoints and journals are keyed by shard id, never by worker, so
-   a migrated shard's next kill restores and redelivers exactly as an
-   unmigrated one's would. *)
+   die and resurrect. *)
 let drain t =
   (* the epoch's front clock is captured once on the coordinator, so
      every shard — sequential or parallel — stamps queue waits against
      the same [now] *)
-  let now = now t in
+  let now = now t and batch = t.cfg.batch in
   if t.supervised then begin
     supervise t;
-    Array.iter
-      (fun j -> Recover.record j (Recover.Drain (now, t.cfg.batch)))
-      t.journals
+    Array.iter (fun j -> Recover.record j (Recover.Drain (now, batch))) t.journals
   end;
-  let depths = Array.map (fun s -> Ingress.length s.Shard.ingress) t.shards in
-  let stealing = t.cfg.steal && t.cfg.domains > 1 in
-  if stealing then rebalance t ~depths;
-  t.sched_epoch <- t.sched_epoch + 1;
-  Array.iteri (fun i s -> t.prev_busy.(i) <- Shard.busy s) t.shards;
-  let total =
-    match t.pool with
-    | None ->
-      Array.fold_left
-        (fun acc s -> acc + Shard.drain_batch s ~now ~batch:t.cfg.batch)
-        0 t.shards
-    | Some pool when not t.cfg.steal ->
-      let domains = t.cfg.domains and batch = t.cfg.batch in
-      Podopt_exec.Pool.run pool (fun w ->
-          Array.iteri
-            (fun i shard ->
-              if i mod domains = w then
-                t.drained.(i) <- Shard.drain_batch shard ~now ~batch)
-            t.shards);
-      (* merge in shard-id order on the coordinator *)
-      Array.fold_left ( + ) 0 t.drained
-    | Some pool ->
-      let batch = t.cfg.batch in
-      (* hottest shards first (LPT by this epoch's depth, shard-id tie
-         break): claim order is wall-clock scheduling only *)
-      let order = Array.init t.cfg.shards Fun.id in
-      Array.sort
-        (fun a b ->
-          match compare depths.(b) depths.(a) with
-          | 0 -> compare a b
-          | c -> c)
-        order;
-      Array.fill t.executed_by 0 t.cfg.shards (-1);
-      Podopt_exec.Pool.run_steal pool order (fun ~worker ~slot:_ i ->
-          t.executed_by.(i) <- worker;
-          t.drained.(i) <- Shard.drain_batch t.shards.(i) ~now ~batch);
-      (* off-owner claims = steals: telemetry, outside every
-         byte-compared surface *)
-      Array.iteri
-        (fun i w ->
-          if w >= 0 && w <> t.owner.(i) && depths.(i) > 0 then begin
-            t.steals <- t.steals + 1;
-            t.stolen.(i) <- t.stolen.(i) + 1
-          end)
-        t.executed_by;
-      Array.fold_left ( + ) 0 t.drained
-  in
-  (* planned critical path: charge each shard's busy delta to its
-     (deterministic) owner and accumulate the heaviest worker.  The
-     steal-off plan is the static pinning, so the same accumulator
-     compares both schedulers on equal terms. *)
-  Array.fill t.wbusy 0 t.cfg.domains 0;
-  Array.iteri
-    (fun i s ->
-      let w = if stealing then t.owner.(i) else i mod t.cfg.domains in
-      t.wbusy.(w) <- t.wbusy.(w) + (Shard.busy s - t.prev_busy.(i)))
-    t.shards;
-  t.critical <- t.critical + Array.fold_left max 0 t.wbusy;
-  total
+  match t.pool with
+  | None ->
+    Array.fold_left
+      (fun acc s -> acc + Shard.drain_batch s ~now ~batch)
+      0 t.shards
+  | Some pool ->
+    (* hottest shards first (LPT): claim order is wall-clock scheduling
+       only *)
+    let depth i = Ingress.length t.shards.(i).Shard.ingress in
+    let order = Array.init t.cfg.shards Fun.id in
+    Array.stable_sort (fun a b -> compare (depth b) (depth a)) order;
+    Podopt_exec.Pool.run pool order (fun i ->
+        t.drained.(i) <- Shard.drain_batch t.shards.(i) ~now ~batch);
+    (* merge in shard-id order on the coordinator *)
+    Array.fold_left ( + ) 0 t.drained
 
 let parallel t = match t.pool with Some _ -> true | None -> false
 let domains t = t.cfg.domains
@@ -562,18 +412,11 @@ let routed t = t.routed
 let link_dropped t = t.link_dropped
 let decode_failures t = t.decode_failures
 
-(* Scheduler accounting.  [migrations]/[migrated]/[critical_busy] are
-   deterministic for a given config (pure functions of recorded state);
-   [steals]/[stolen] reflect the actual claim race and are telemetry
-   only — keep them out of anything byte-compared. *)
-let stealing t = t.cfg.steal && t.cfg.domains > 1
-let steals t = t.steals
-let stolen t = Array.copy t.stolen
-let migrated t = Array.copy t.migrated
-let migrations t = List.rev t.migrations
-let migration_count t = Array.fold_left ( + ) 0 t.migrated
-let critical_busy t = t.critical
-let owners t = Array.copy t.owner
+(* Stubs for perfbench/, which still reads them: one drain scheduler
+   leaves nothing to count. *)
+let steals _ = 0
+let migration_count _ = 0
+let critical_busy _ = 0
 
 (* Recovery accounting, summed over shards. *)
 let supervised t = t.supervised
@@ -600,9 +443,9 @@ let profile_store t : Store.t =
 
 (* Attach (or clear) one fault-draw logger on every live injector: the
    front's (salt 0) and each shard's (salt id+1).  Per-salt streams are
-   each touched by a single domain (front on the coordinator, shards on
-   their pinned workers), so a logger that keeps per-salt state needs no
-   locking. *)
+   each touched by one domain at a time (front on the coordinator, a
+   shard on whichever worker claimed it, ordered by the epoch barrier),
+   so a logger that keeps per-salt state needs no locking. *)
 let set_fault_logger t logger =
   (match t.front_faults with
    | Some inj -> Plan.set_logger inj logger
@@ -624,15 +467,6 @@ let reset_measurements t =
   t.routed <- 0;
   t.link_dropped <- 0;
   t.decode_failures <- 0;
-  (* scheduler telemetry resets with the measurement window; the
-     ownership map, observed depths, and epoch counter survive (they
-     are warm-phase-derived and deterministic, so a replayed run
-     re-reaches exactly this state at its own reset) *)
-  t.steals <- 0;
-  t.critical <- 0;
-  t.migrations <- [];
-  Array.fill t.stolen 0 (Array.length t.stolen) 0;
-  Array.fill t.migrated 0 (Array.length t.migrated) 0;
   Hashtbl.reset t.session_shard;
   Array.iter Shard.reset_measurements t.shards;
   (* the reset is a state discontinuity the redo journal cannot replay

@@ -16,27 +16,17 @@
     With [domains > 1] the broker runs its shards on a fixed pool of
     OCaml 5 domains ({!Podopt_exec.Pool}): every simulation epoch
     routes packets on the coordinator, then drains the shards on the
-    pool, then joins at a barrier before the next routing step.  Two
-    drain schedulers share that skeleton (see doc/SCHEDULER.md):
+    pool, then joins at a barrier before the next routing step.  The
+    coordinator freezes the epoch's shard list hottest-first into the
+    pool's shared run-queue and idle workers claim whole shards with
+    an atomic fetch-and-add (see doc/SCHEDULER.md).
 
-    {ul
-    {- [steal = false] — static pinning: shard [i] always drains on
-       worker [i mod domains];}
-    {- [steal = true] (default) — work stealing: the coordinator
-       freezes the epoch's shard list hottest-first into a stealable
-       run-queue and idle workers claim whole shards with an atomic
-       fetch-and-add, while the coordinator migrates shard {e
-       ownership} (the preferred worker, used for the load plan) at
-       epoch boundaries from the previous epoch's observed queue
-       depths — a pure function of recorded state, so the migration
-       history is deterministic.}}
-
-    In either mode each shard is claimed exactly once per epoch and the
-    epoch barrier separates drain from the next routing step, so
-    per-shard dispatch order — and therefore every per-shard stat,
-    trace, and adaptive-optimizer decision — is byte-identical to the
-    sequential run at any domain count, steal on or off (see the
-    broker-par and steal test suites). *)
+    Each shard is claimed exactly once per epoch and the epoch barrier
+    separates drain from the next routing step, so per-shard dispatch
+    order — and therefore every per-shard stat, trace, and
+    adaptive-optimizer decision — is byte-identical to the sequential
+    run at any domain count (see the broker-par and steal test
+    suites). *)
 
 open Podopt_eventsys
 
@@ -71,9 +61,9 @@ type config = {
           is entirely off.  A journal past its high-water mark forces
           an early checkpoint. *)
   steal : bool;
-      (** [--steal]: work-stealing drain with deterministic hot-shard
-          migration (default) vs static [i mod domains] pinning.  Pure
-          scheduling — observables are byte-identical either way. *)
+      (** Ignored: there is one parallel drain.  The field stays only
+          because the wall-clock benchmark in [perfbench/] still sets
+          it; it is not part of {!config_to_string}. *)
   route : Shard_map.route;
       (** [--route]: session-to-shard map — [Hash] (uniform FNV-1a,
           default) or [Zipf s] (rank-skewed; shard 0 hottest).  Changes
@@ -91,11 +81,12 @@ type config = {
 val default_config : config
 (** 2 shards, batch 16, queue limit 64, [Drop_newest], SecComm,
     optimized, compiled, seed 42, tick 50, 1 domain, no faults, no
-    stored profile, checkpoint every 8 epochs, stealing on, hash
-    routing, periodic arrivals. *)
+    stored profile, checkpoint every 8 epochs, hash routing, periodic
+    arrivals. *)
 
 (** One line of space-separated [key=value] tokens, one per field
-    except [profile_in] (persist a store beside it), e.g.
+    except [profile_in] (persist a store beside it) and the ignored
+    [steal], e.g.
     ["shards=2 batch=16 queue-limit=64 policy=newest kind=seccomm ..."].
     The replay log's [C] line is this string. *)
 val config_to_string : config -> string
@@ -103,11 +94,15 @@ val config_to_string : config -> string
 (** Inverse of {!config_to_string} (with [profile_in = None]).  Token
     order is free, but the key set must be exactly the one
     {!config_to_string} writes: an unknown, duplicate or missing key,
-    or a value its field's codec rejects, is an [Error] naming it. *)
+    a value its field's codec rejects, or a count {!create} would
+    reject, is an [Error] naming it. *)
 val config_of_string : string -> (config, string) result
 
 type t
 
+(** Raises [Invalid_argument] naming the first of [shards], [batch],
+    [queue_limit], [tick], [domains] or [checkpoint_every] that is not
+    positive — the same check {!config_of_string} applies. *)
 val create : config -> t
 val config : t -> config
 
@@ -138,13 +133,10 @@ val pump : t -> until:int -> unit
 
 (** Drain one batch from every shard; returns the total ops dispatched.
     Sequential ([domains = 1]): shards drain in shard-id order on the
-    caller.  Parallel: one epoch on the domain pool — statically pinned
-    or work-stealing per [config.steal] — joining at a barrier, with
-    totals merged in shard-id order on the coordinator.  In steal mode
-    the coordinator first applies the migration plan decided from the
-    previous epoch's recorded queue depths (deterministic), then lets
-    idle workers claim whole shards from the epoch's run-queue
-    (wall-clock scheduling only).
+    caller.  Parallel: one epoch on the domain pool, idle workers
+    claiming whole shards hottest-first from the epoch's run-queue
+    (wall-clock scheduling only), joining at a barrier, with totals
+    merged in shard-id order on the coordinator.
 
     Under supervision (a fault plan with [kill_permille > 0]) the epoch
     boundary runs first, on the coordinator and in shard-id order: each
@@ -182,42 +174,14 @@ val link_dropped : t -> int
     plan); each is counted, never silently swallowed. *)
 val decode_failures : t -> int
 
-(** {2 Scheduler accounting} (see doc/SCHEDULER.md)
-
-    [migrations]/[migrated]/[migration_count]/[critical_busy]/[owners]
-    are pure functions of recorded state — identical from run to run
-    for a given config.  [steals]/[stolen] record the actual claim
-    race and are telemetry only: they never enter snapshots, summaries,
-    or serve JSON (which must stay byte-identical steal on/off). *)
-
-(** Whether drains use the work-stealing scheduler
-    ([steal && domains > 1]). *)
-val stealing : t -> bool
-
-(** Off-owner shard claims since the last reset (schedule-dependent). *)
+(** Always 0.  There is no second drain scheduler to steal from,
+    migrate between or plan a critical path for; the names stay only
+    because the wall-clock benchmark in [perfbench/] still reads
+    them. *)
 val steals : t -> int
 
-(** Per-shard off-owner claim counts (schedule-dependent). *)
-val stolen : t -> int array
-
-(** Per-shard migration counts since the last reset (deterministic). *)
-val migrated : t -> int array
-
-(** The migration history since the last reset, oldest first, as
-    [(epoch, shard, from_worker, to_worker)] — the plan Log v5 records
-    and replay re-verifies. *)
-val migrations : t -> (int * int * int * int) list
-
 val migration_count : t -> int
-
-(** Accumulated per-epoch maximum planned worker busy — the
-    scheduler's critical path under the deterministic ownership plan
-    (static pinning when [steal = false]).  The bench's skew metric:
-    lower means the fleet serializes less behind its hottest lane. *)
 val critical_busy : t -> int
-
-(** The current shard-to-preferred-worker map. *)
-val owners : t -> int array
 
 (** {2 Crash-recovery accounting} (see doc/RECOVERY.md) *)
 

@@ -17,30 +17,25 @@ let pct_cell opt generic =
 
 let pp_table ppf broker =
   let shards = Broker.shards broker in
-  (* migr is deterministic (the coordinator's recorded plan); stole is
-     the actual claim race — telemetry, never byte-compared (always 0
-     at domains = 1 or steal off) *)
-  let migrated = Broker.migrated broker and stolen = Broker.stolen broker in
   Fmt.pf ppf
     "%5s | %8s %8s %6s %6s | %7s %10s | %9s %8s %7s %6s | %6s %5s %5s %5s \
-     | %4s %4s %7s | %4s %5s | %10s@."
+     | %4s %4s %7s | %10s@."
     "shard" "sessions" "ingress" "shed" "displ" "batches" "dispatched"
     "optimized" "generic" "fallbk" "opt%" "failed" "quar" "ovfl"
-    "trips" "kill" "rcov" "redeliv" "migr" "stole" "busy";
+    "trips" "kill" "rcov" "redeliv" "busy";
   let row label ~sessions ~ingress ~shed ~displaced ~batches ~dispatched
       ~optimized ~generic ~fallbacks ~failures ~quarantined ~overflow ~trips
-      ~kills ~recoveries ~redelivered ~migr ~stole ~busy =
+      ~kills ~recoveries ~redelivered ~busy =
     Fmt.pf ppf
       "%5s | %8d %8d %6d %6d | %7d %10d | %9d %8d %7d %6s | %6d %5d %5d \
-       %5d | %4d %4d %7d | %4d %5d | %10d@."
+       %5d | %4d %4d %7d | %10d@."
       label sessions ingress shed displaced batches dispatched optimized
       generic fallbacks
       (pct_cell optimized generic)
-      failures quarantined overflow trips kills recoveries redelivered migr
-      stole busy
+      failures quarantined overflow trips kills recoveries redelivered busy
   in
-  Array.iteri
-    (fun i (s : Shard.t) ->
+  Array.iter
+    (fun (s : Shard.t) ->
       let ist = Ingress.stats s.Shard.ingress in
       row (string_of_int s.Shard.id) ~sessions:s.Shard.sessions
         ~ingress:ist.Ingress.offered ~shed:ist.Ingress.shed
@@ -55,8 +50,7 @@ let pp_table ppf broker =
         ~trips:(Shard.breaker_trips s)
         ~kills:(Shard.recovery s).Shard.kills
         ~recoveries:(Shard.recovery s).Shard.recoveries
-        ~redelivered:(Shard.recovery s).Shard.redelivered ~migr:migrated.(i)
-        ~stole:stolen.(i) ~busy:(Shard.busy s))
+        ~redelivered:(Shard.recovery s).Shard.redelivered ~busy:(Shard.busy s))
     shards;
   let sum f = Array.fold_left (fun acc s -> acc + f s) 0 shards in
   row "total"
@@ -78,18 +72,10 @@ let pp_table ppf broker =
     ~kills:(sum (fun s -> (Shard.recovery s).Shard.kills))
     ~recoveries:(sum (fun s -> (Shard.recovery s).Shard.recoveries))
     ~redelivered:(sum (fun s -> (Shard.recovery s).Shard.redelivered))
-    ~migr:(Broker.migration_count broker)
-    ~stole:(Broker.steals broker) ~busy:(sum Shard.busy);
+    ~busy:(sum Shard.busy);
   Fmt.pf ppf "front: %d link-dropped, %d decode-failed@."
     (Broker.link_dropped broker)
-    (Broker.decode_failures broker);
-  if Broker.stealing broker then
-    Fmt.pf ppf
-      "scheduler: stealing (route %s), %d migrations, %d steals, critical \
-       busy %d@."
-      (Shard_map.route_to_string (Broker.config broker).Broker.route)
-      (Broker.migration_count broker)
-      (Broker.steals broker) (Broker.critical_busy broker)
+    (Broker.decode_failures broker)
 
 (* One line per shard from Shard.snapshot — the record the parallel
    determinism suite compares, printed for diffable diagnostics. *)

@@ -4,17 +4,16 @@
    barrier, the OS can give every core to the workers, and the
    coordinator's own state is quiescent during the parallel phase.
 
-   Two epoch shapes share that skeleton: [run] broadcasts one closure
-   to every worker (the historical static-partition mode), and
-   [run_steal] broadcasts a closure that pulls items from a shared
-   {!Deque} until it is dry — idle workers keep claiming slots, so a
-   worker stuck on a heavy item no longer serializes the epoch. *)
+   An epoch hands every worker the same closure, which claims slots off
+   a shared fetch-and-add counter until the item array is dry, so idle
+   workers keep claiming and every slot is claimed by exactly one
+   worker — the atomic counter is the whole protocol. *)
 
 type t = {
-  chans : (int -> unit) Chan.t array;
+  chans : (unit -> unit) Chan.t array;
   barrier : Barrier.t;
   failure : exn option Atomic.t;
-  suppressed : int Atomic.t;  (* worker failures beyond the latched one *)
+  suppressed : int Atomic.t;  (* item failures beyond the latched one *)
   mutable workers : unit Domain.t array;
   mutable alive : bool;
 }
@@ -39,7 +38,7 @@ let worker t w =
     match Chan.pop chan with
     | None -> ()  (* closed and drained: shut down *)
     | Some f ->
-      (try f w with exn -> latch t exn);
+      f ();
       Barrier.await t.barrier;
       loop ()
   in
@@ -62,11 +61,21 @@ let create ~domains =
 
 let size t = Array.length t.chans
 
-let run t f =
+let run t items f =
   if not t.alive then invalid_arg "Pool.run: pool is shut down";
   Atomic.set t.failure None;
   Atomic.set t.suppressed 0;
-  Array.iter (fun chan -> Chan.push chan f) t.chans;
+  let next = Atomic.make 0 in
+  let rec claim () =
+    let i = Atomic.fetch_and_add next 1 in
+    if i < Array.length items then begin
+      (* catch per item, not per worker: a poisoned item must not
+         abandon the unclaimed slots behind it *)
+      (try f items.(i) with exn -> latch t exn);
+      claim ()
+    end
+  in
+  Array.iter (fun chan -> Chan.push chan claim) t.chans;
   Barrier.await t.barrier;
   match Atomic.get t.failure with
   | None -> ()
@@ -74,20 +83,6 @@ let run t f =
     (match Atomic.get t.suppressed with
      | 0 -> raise exn
      | n -> raise (Epoch_failures (exn, n)))
-
-let run_steal t items f =
-  let dq = Deque.of_array items in
-  run t (fun w ->
-      let rec loop () =
-        match Deque.steal dq with
-        | None -> ()
-        | Some (slot, x) ->
-          (* catch per item, not per worker: a poisoned item must not
-             abandon the unclaimed slots behind it *)
-          (try f ~worker:w ~slot x with exn -> latch t exn);
-          loop ()
-      in
-      loop ())
 
 let shutdown t =
   if t.alive then begin

@@ -1,34 +1,29 @@
 (** Fixed pool of worker domains driven in epochs.
 
     {!create} spawns [domains] workers, each blocked on its own
-    {!Chan}.  One epoch wakes every worker, runs its task(s), and joins
-    everyone — caller included — at a {!Barrier}; when the epoch call
-    returns, every worker has finished and gone back to sleep.
+    {!Chan}.  One epoch ({!run}) wakes every worker and joins everyone —
+    caller included — at a {!Barrier}; when {!run} returns, every worker
+    has finished and gone back to sleep.
 
-    Two epoch shapes:
-    {ul
-    {- {!run} broadcasts the same closure to every worker (the
-       historical static-partition mode: the caller pins work to worker
-       indices, e.g. shard [i] on worker [i mod domains]);}
-    {- {!run_steal} shares one stealable run-queue of work items: the
-       coordinator freezes the item order, and idle workers claim slots
-       with an atomic fetch-and-add ({!Deque}), so a worker stuck on a
-       heavy item no longer serializes the epoch.  Which worker runs a
-       slot is scheduling; that each slot runs exactly once is the
-       invariant.}}
+    Within an epoch the workers share one run-queue of work items: the
+    caller freezes the item order, and idle workers claim the next
+    unclaimed slot with an atomic fetch-and-add, so a worker stuck on a
+    heavy item never serializes the items behind it.  Which worker runs
+    an item is scheduling; that each item runs exactly once is the
+    invariant.
 
-    Tasks run on worker domains: they must only touch state the caller
-    partitioned to that worker ({!run}) or owned by the claimed item
-    ({!run_steal}).  A task exception is caught on the worker — the
-    epoch still completes for everyone — and re-raised from the epoch
-    call on the caller.  When several tasks fail in one epoch, the
-    first latched exception is re-raised wrapped in
+    Items run on worker domains: each must only touch state owned by
+    that item, so results cannot depend on the claim schedule.  An item
+    exception is caught on the worker — the rest of the queue still
+    drains and the epoch still completes for everyone — and re-raised
+    from {!run} on the caller.  When several items fail in one epoch,
+    the first latched exception is re-raised wrapped in
     {!Epoch_failures} carrying the count of additionally suppressed
     failures; a lone failure is re-raised unwrapped. *)
 
 type t
 
-(** [Epoch_failures (first, suppressed)]: more than one task failed in
+(** [Epoch_failures (first, suppressed)]: more than one item failed in
     the epoch; [first] is the first latched exception and [suppressed]
     the number of further failures whose exceptions were dropped. *)
 exception Epoch_failures of exn * int
@@ -39,25 +34,15 @@ val create : domains:int -> t
 (** Number of worker domains. *)
 val size : t -> int
 
-(** [run t f] executes [f w] on worker [w] for every [w] in
-    [0 .. size-1], blocking until all are done.  Raises the latched
-    worker exception, if any (wrapped in {!Epoch_failures} when more
-    than one task failed).  A raising task still completes the epoch
-    barrier — every other worker finishes its task before the exception
-    reaches the caller — and leaves the pool fully usable for
-    subsequent epochs (the crash-recovery supervisor relies on both).
-    Raises [Invalid_argument] after {!shutdown}. *)
-val run : t -> (int -> unit) -> unit
-
-(** [run_steal t items f] runs [f ~worker ~slot items.(slot)] exactly
-    once for every slot, work-stealing style: slots are claimed left to
-    right by whichever worker is idle.  Blocks until every slot has
-    run.  Item exceptions are latched per item (a poisoned item does
-    not abandon the slots behind it) and re-raised as in {!run}.
-    Determinism contract: each item must only touch state owned by that
-    item, so results cannot depend on the claim schedule.  Raises
+(** [run t items f] runs [f items.(i)] exactly once for every slot [i],
+    slots claimed left to right by whichever worker is idle, and blocks
+    until every slot has run.  Raises the latched item exception, if
+    any (wrapped in {!Epoch_failures} when more than one item failed).
+    A raising item neither abandons the slots behind it nor wedges the
+    epoch barrier, and leaves the pool fully usable for subsequent
+    epochs (the crash-recovery supervisor relies on both).  Raises
     [Invalid_argument] after {!shutdown}. *)
-val run_steal : t -> 'a array -> (worker:int -> slot:int -> 'a -> unit) -> unit
+val run : t -> 'a array -> ('a -> unit) -> unit
 
 (** Close every channel and join the worker domains.  Idempotent. *)
 val shutdown : t -> unit

@@ -161,7 +161,6 @@ let shrink_log (log : Log.t) ~keep ~ops_cap : Log.t =
     sessions;
     arrivals;
     fault_draws = [];
-    migrations = [];
     json = "";
   }
 

@@ -4,9 +4,9 @@
    record per line, whitespace-separated fields, [#] comments, a
    [Format_error] on anything malformed).
 
-   Format (version 7, the only version this build reads or writes):
+   Format (version 8, the only version this build reads or writes):
 
-     V 7
+     V 8
      C <key>=<value> ...                           the broker config
      D <verbatim line>                             embedded profile store
      Y <crc32-hex>                                 digest of the D lines
@@ -16,7 +16,6 @@
      O <phase> <id> <seq> <payload-hex>            one per op payload
      A <phase> <id> <seq> <attempt> <outcome>      arrival schedule
      F <salt> <kind> <bits>                        fault-draw decisions
-     M <epoch> <shard> <from> <to>                 migration plan, in order
      J <verbatim line>                             the original JSON doc
 
    [phase] is [w] (warm-up) or [m] (measured).  An arrival [outcome]
@@ -35,13 +34,9 @@
    (which the [D]/[Y] lines carry) as one [key=value] token, and an
    unknown, duplicate or missing key rejects the log.
 
-   [M] lines record the measured phase's hot-shard migration plan, in
-   decision order: the plan is a pure function of recorded state, so a
-   replay at the recorded domain count must re-derive it exactly —
-   replay verifies this.  The per-session arrival schedules of an
-   open-loop run are not recorded: they are a pure function of (spec,
-   seed, session index), so replay re-derives them from the config,
-   the same way it re-derives the migration plan.
+   The per-session arrival schedules of an open-loop run are not
+   recorded: they are a pure function of (spec, seed, session index),
+   so replay re-derives them from the config.
 
    Any other [V] is rejected; such a log must be re-recorded. *)
 
@@ -55,7 +50,7 @@ module Crc32 = Podopt_crypto.Crc32
 exception Format_error of string
 
 let format_error fmt = Format.kasprintf (fun s -> raise (Format_error s)) fmt
-let version = 7
+let version = 8
 
 type sess = {
   s_phase : string;  (* "w" | "m" *)
@@ -82,9 +77,6 @@ type t = {
   arrivals : arrival list; (* send order *)
   fault_draws : ((int * string) * bool list) list;
       (* (salt, kind) -> fired bits in draw order; sorted by key *)
-  migrations : (int * int * int * int) list;
-      (* measured-phase migration plan, decision order:
-         (epoch, shard, from_worker, to_worker) *)
   json : string;           (* the run's serve-JSON document, newline-terminated *)
 }
 
@@ -178,10 +170,6 @@ let to_string (t : t) : string =
   List.iter
     (fun ((salt, kind), bits) -> line "F %d %s %s" salt kind (bits_of_bools bits))
     (List.sort compare t.fault_draws);
-  List.iter
-    (fun (epoch, shard, from_w, to_w) ->
-      line "M %d %d %d %d" epoch shard from_w to_w)
-    t.migrations;
   if t.json <> "" then begin
     let jlines = String.split_on_char '\n' t.json in
     (* the document is newline-terminated: drop the final empty element *)
@@ -204,7 +192,6 @@ let of_string (s : string) : t =
   let ops : (string * string, (int * bytes) list ref) Hashtbl.t = Hashtbl.create 64 in
   let arrivals = ref [] in
   let faults = ref [] in
-  let migrations = ref [] in
   let jlines = ref [] in
   let dlines = ref [] in
   let ydigest = ref None in
@@ -264,11 +251,6 @@ let of_string (s : string) : t =
         :: !arrivals
     | [ "F"; salt; kind; bits ] ->
       faults := ((int_field "salt" salt, kind), bools_of_bits bits) :: !faults
-    | [ "M"; epoch; shard; from_w; to_w ] ->
-      migrations :=
-        ( int_field "epoch" epoch, int_field "shard" shard,
-          int_field "from" from_w, int_field "to" to_w )
-        :: !migrations
     | [ "Y"; digest ] -> ydigest := Some digest
     | tag :: _ -> format_error "bad record tag %S in line %S" tag line
   in
@@ -345,7 +327,6 @@ let of_string (s : string) : t =
     sessions;
     arrivals = List.rev !arrivals;
     fault_draws = List.sort compare (List.rev !faults);
-    migrations = List.rev !migrations;
     json;
   }
 

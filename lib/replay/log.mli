@@ -45,11 +45,6 @@ type t = {
   arrivals : arrival list; (** send order *)
   fault_draws : ((int * string) * bool list) list;
       (** (salt, fault kind) -> fired bits in draw order, key-sorted *)
-  migrations : (int * int * int * int) list;
-      (** the measured phase's hot-shard migration plan, decision
-          order: [(epoch, shard, from_worker, to_worker)].  A pure
-          function of recorded state — a replay at the recorded domain
-          count must re-derive it exactly (verified by {!Replay.run}). *)
   json : string;           (** the recorded run's JSON document *)
 }
 

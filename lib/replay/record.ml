@@ -33,8 +33,8 @@ let run ?(warmup_ops = 12) ?(metrics = false) (cfg : Broker.config)
       let arrivals = ref [] in
       (* One fired-bit buffer per (salt, kind).  All cells are created
          up front on the coordinator: with domains > 1 each shard's
-         draws arrive on its pinned worker, which then only ever
-         mutates its own pre-existing cell. *)
+         draws arrive on whichever worker claimed the shard, which then
+         only ever mutates that shard's pre-existing cell. *)
       let draws : (int * string, bool list ref) Hashtbl.t = Hashtbl.create 32 in
       if Plan.enabled cfg.Broker.faults then
         for salt = 0 to cfg.Broker.shards do
@@ -88,6 +88,5 @@ let run ?(warmup_ops = 12) ?(metrics = false) (cfg : Broker.config)
         sessions = !recorded;
         arrivals = List.rev !arrivals;
         fault_draws;
-        migrations = Broker.migrations broker;
         json;
       })

@@ -23,10 +23,6 @@ module Packet = Podopt_net.Packet
 type outcome = {
   json : string;            (* the regenerated document *)
   fault_mismatches : int;   (* replayed fault draws that differed from the log *)
-  migration_mismatch : bool;
-      (* the re-derived migration plan differed from the recorded one
-         (only checkable when replaying at the recorded domain count —
-         the plan legitimately depends on [domains]) *)
   summary : Loadgen.summary;
 }
 
@@ -43,9 +39,9 @@ let arrival_table (log : Log.t) =
    outcome comes from the log, with the profile latency as the
    fallback for sends the recorded run never made (possible only on
    shrunk logs, where retry patterns may differ).  Open-loop arrival
-   schedules are not logged: like the migration plan they are a pure
-   function of recorded state — (spec, per-session seed, start,
-   interval, op count) — so they are re-derived here exactly as
+   schedules are not logged: they are a pure function of recorded
+   state — (spec, per-session seed, start, interval, op count) — so
+   they are re-derived here exactly as
    {!Podopt_broker.Loadgen.make_sessions} derived them (sessions are
    listed in creation order, so position = session index). *)
 let make_sessions broker (log : Log.t) table phase =
@@ -150,15 +146,7 @@ let run ?domains ?(verify_faults = true) (log : Log.t) : outcome =
       Broker.reset_measurements broker;
       let summary = Loadgen.run broker (make_sessions broker log table "m") in
       let json = Report.json ~metrics:log.Log.metrics broker summary in
-      (* the migration plan is a pure function of recorded state, so a
-         replay at the recorded domain count must re-derive the logged
-         plan move for move; at any other domain count the plan
-         legitimately differs and is not compared *)
-      let migration_mismatch =
-        cfg.Broker.domains = log.Log.config.Broker.domains
-        && Broker.migrations broker <> log.Log.migrations
-      in
-      { json; fault_mismatches = mismatches (); migration_mismatch; summary })
+      { json; fault_mismatches = mismatches (); summary })
 
 (* First line where two documents differ: (line number, recorded line,
    replayed line) — [None] on byte equality.  For the human-readable

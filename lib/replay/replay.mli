@@ -14,12 +14,6 @@ type outcome = {
       (** replayed fault draws that differed from (or overran) the
           recorded streams — non-zero means a PRNG or fault-plan
           regression *)
-  migration_mismatch : bool;
-      (** the re-derived hot-shard migration plan differed from the
-          log's [M] records.  Only checked when replaying at the
-          recorded domain count (the plan is a pure function of
-          recorded state {e and} [domains]); [true] means the
-          scheduler's determinism regressed. *)
   summary : Podopt_broker.Loadgen.summary;
 }
 

@@ -102,37 +102,48 @@ let test_barrier_invalid () =
 
 (* --- pool -------------------------------------------------------------- *)
 
+(* [domains] items that each wait at a [domains]-party barrier can only
+   finish if every worker holds one of them at the same time: the items
+   prove that every worker takes part in the epoch. *)
+let rendezvous_items pool = Array.init (Pool.size pool) Fun.id
+
 let test_pool_runs_each_worker () =
   let domains = 3 and epochs = 20 in
   let pool = Pool.create ~domains in
   Alcotest.(check int) "size" domains (Pool.size pool);
+  let meet = Barrier.create ~parties:domains in
   let counts = Array.make domains 0 in
+  let ran_on = Array.make domains (-1) in
   for _ = 1 to epochs do
-    Pool.run pool (fun w -> counts.(w) <- counts.(w) + 1)
+    Pool.run pool (rendezvous_items pool) (fun i ->
+        Barrier.await meet;
+        ran_on.(i) <- (Domain.self () :> int);
+        counts.(i) <- counts.(i) + 1);
+    let distinct = List.sort_uniq compare (Array.to_list ran_on) in
+    Alcotest.(check int) "one item per worker" domains (List.length distinct);
+    Alcotest.(check bool) "never on the caller" false
+      (List.mem (Domain.self () :> int) distinct)
   done;
   Pool.shutdown pool;
   Array.iteri
-    (fun w c ->
-      Alcotest.(check int) (Printf.sprintf "worker %d epochs" w) epochs c)
+    (fun i c -> Alcotest.(check int) (Printf.sprintf "item %d epochs" i) epochs c)
     counts
 
 let test_pool_propagates_exception () =
   let pool = Pool.create ~domains:2 in
-  Alcotest.check_raises "worker failure reaches the caller"
+  Alcotest.check_raises "item failure reaches the caller"
     (Failure "boom") (fun () ->
-      Pool.run pool (fun w -> if w = 1 then failwith "boom"));
+      Pool.run pool [| 0; 1 |] (fun i -> if i = 1 then failwith "boom"));
   (* the epoch still completed for everyone: the pool stays usable *)
-  let ok = ref 0 in
-  Pool.run pool (fun _ -> incr ok);
-  (* both workers bump the same ref unsynchronized only if racing; give
-     each worker its own slot instead *)
-  Alcotest.(check bool) "pool survives a failing epoch" true (!ok >= 1);
+  let ran = Array.make 2 0 in
+  Pool.run pool [| 0; 1 |] (fun i -> ran.(i) <- ran.(i) + 1);
+  Alcotest.(check (array int)) "pool survives a failing epoch" [| 1; 1 |] ran;
   Pool.shutdown pool
 
 let test_pool_failure_latch () =
-  (* the recovery supervisor leans on this: a raising task must not
+  (* the recovery supervisor leans on this: a raising item must not
      wedge the epoch barrier, and the pool must stay reusable across
-     repeated failing epochs.  Every worker bumps its slot before one of
+     repeated failing epochs.  Every item bumps its slot before one of
      them raises, so slot counts prove the epoch completed for everyone
      even when run re-raised. *)
   let domains = 3 in
@@ -140,38 +151,39 @@ let test_pool_failure_latch () =
   let runs = Array.make domains 0 in
   for epoch = 1 to 5 do
     (match
-       Pool.run pool (fun w ->
-           runs.(w) <- runs.(w) + 1;
-           if w = epoch mod domains then failwith "epoch bomb")
+       Pool.run pool (rendezvous_items pool) (fun i ->
+           runs.(i) <- runs.(i) + 1;
+           if i = epoch mod domains then failwith "epoch bomb")
      with
      | () -> Alcotest.fail "expected the epoch to raise"
      | exception Failure _ -> ());
     Array.iteri
-      (fun w c ->
+      (fun i c ->
         Alcotest.(check int)
-          (Printf.sprintf "worker %d completed epoch %d" w epoch)
+          (Printf.sprintf "item %d completed epoch %d" i epoch)
           epoch c)
       runs
   done;
-  (* a clean epoch afterwards still runs on every worker *)
-  Pool.run pool (fun w -> runs.(w) <- runs.(w) + 1);
+  (* a clean epoch afterwards still runs every item *)
+  Pool.run pool (rendezvous_items pool) (fun i -> runs.(i) <- runs.(i) + 1);
   Array.iteri
-    (fun w c -> Alcotest.(check int) (Printf.sprintf "worker %d final" w) 6 c)
+    (fun i c -> Alcotest.(check int) (Printf.sprintf "item %d final" i) 6 c)
     runs;
   Pool.shutdown pool
 
 let test_pool_simultaneous_failures () =
-  (* two workers raise in the same epoch: exactly one exception latches
+  (* two items raise in the same epoch: exactly one exception latches
      and re-raises, wrapped in [Epoch_failures] carrying the count of
      the suppressed others — nothing is silently dropped.  A barrier
-     splits arming from raising so both failures genuinely race. *)
+     splits arming from raising so both failures genuinely race on
+     different workers. *)
   let domains = 3 in
   let pool = Pool.create ~domains in
   let armed = Barrier.create ~parties:domains in
   (match
-     Pool.run pool (fun w ->
+     Pool.run pool (rendezvous_items pool) (fun i ->
          Barrier.await armed;
-         if w <> 0 then failwith "simultaneous bomb")
+         if i <> 0 then failwith "simultaneous bomb")
    with
   | () -> Alcotest.fail "expected the epoch to raise"
   | exception Pool.Epoch_failures (Failure msg, suppressed) ->
@@ -180,7 +192,10 @@ let test_pool_simultaneous_failures () =
   | exception e ->
     Alcotest.failf "expected Epoch_failures, got %s" (Printexc.to_string e));
   (* a single failure still surfaces unwrapped *)
-  (match Pool.run pool (fun w -> if w = 1 then failwith "solo bomb") with
+  (match
+     Pool.run pool (rendezvous_items pool) (fun i ->
+         if i = 1 then failwith "solo bomb")
+   with
   | () -> Alcotest.fail "expected the epoch to raise"
   | exception Failure msg ->
     Alcotest.(check string) "bare failure" "solo bomb" msg
@@ -188,39 +203,30 @@ let test_pool_simultaneous_failures () =
     Alcotest.failf "expected the bare Failure, got %s" (Printexc.to_string e));
   (* and the pool is still fully usable *)
   let ran = Array.make domains 0 in
-  Pool.run pool (fun w -> ran.(w) <- ran.(w) + 1);
+  Pool.run pool (rendezvous_items pool) (fun i -> ran.(i) <- ran.(i) + 1);
   Array.iteri
-    (fun w c -> Alcotest.(check int) (Printf.sprintf "worker %d ran" w) 1 c)
+    (fun i c -> Alcotest.(check int) (Printf.sprintf "item %d ran" i) 1 c)
     ran;
   Pool.shutdown pool
 
-let test_pool_run_steal () =
-  (* the stealing epoch: every item of the frozen run queue is claimed
-     exactly once, whatever the racy claim interleaving; per-item
-     failures latch like per-worker ones.  Workers only record what they
-     saw; every assertion runs on the coordinator after the epoch, since
-     Alcotest is not domain-safe. *)
+let test_pool_run_queue () =
+  (* every item of the frozen run queue is claimed exactly once,
+     whatever the racy claim interleaving; per-item failures latch.
+     Items only record what they saw; every assertion runs on the
+     coordinator after the epoch, since Alcotest is not domain-safe. *)
   let domains = 3 and items = 100 in
   let pool = Pool.create ~domains in
   let claims = Array.make items 0 in
-  let slots = Array.make items (-1) in
-  Pool.run_steal pool
-    (Array.init items (fun i -> i))
-    (fun ~worker:_ ~slot x ->
-      slots.(x) <- slot;
-      claims.(x) <- claims.(x) + 1);
+  Pool.run pool (Array.init items Fun.id) (fun x -> claims.(x) <- claims.(x) + 1);
   Array.iteri
     (fun i c ->
-      Alcotest.(check int) (Printf.sprintf "item %d claimed once" i) 1 c;
-      Alcotest.(check int) (Printf.sprintf "item %d slot" i) i slots.(i))
+      Alcotest.(check int) (Printf.sprintf "item %d claimed once" i) 1 c)
     claims;
   (* a failing item raises after the epoch completes; the rest of the
      queue still drains exactly once *)
   let claims = Array.make items 0 in
   (match
-     Pool.run_steal pool
-       (Array.init items (fun i -> i))
-       (fun ~worker:_ ~slot:_ x ->
+     Pool.run pool (Array.init items Fun.id) (fun x ->
          claims.(x) <- claims.(x) + 1;
          if x = 37 then failwith "item bomb")
    with
@@ -235,7 +241,7 @@ let test_pool_run_steal () =
       Alcotest.(check int) (Printf.sprintf "item %d claimed once" i) 1 c)
     claims;
   (* an empty queue is a clean epoch *)
-  Pool.run_steal pool [||] (fun ~worker:_ ~slot:_ _ -> assert false);
+  Pool.run pool [||] (fun _ -> assert false);
   Pool.shutdown pool
 
 let test_pool_shutdown () =
@@ -244,19 +250,18 @@ let test_pool_shutdown () =
   Pool.shutdown pool (* idempotent *);
   Alcotest.check_raises "run after shutdown"
     (Invalid_argument "Pool.run: pool is shut down") (fun () ->
-      Pool.run pool (fun _ -> ()))
+      Pool.run pool [| () |] (fun () -> ()))
 
 let test_pool_partition_sum () =
-  (* the broker's exact usage: disjoint slots pinned by [i mod domains],
-     summed after the join — no two workers ever touch the same cell *)
+  (* the broker's exact usage: one item per shard, each writing only its
+     own cell, summed after the join — no two workers ever touch the
+     same cell *)
   let domains = 4 and cells = 10 in
   let pool = Pool.create ~domains in
   let slots = Array.make cells 0 in
   for epoch = 1 to 5 do
-    Pool.run pool (fun w ->
-        Array.iteri
-          (fun i _ -> if i mod domains = w then slots.(i) <- slots.(i) + epoch)
-          slots)
+    Pool.run pool (Array.init cells Fun.id) (fun i ->
+        slots.(i) <- slots.(i) + epoch)
   done;
   Pool.shutdown pool;
   Array.iteri
@@ -281,7 +286,7 @@ let suite =
     Alcotest.test_case "pool: simultaneous failures are counted, not dropped"
       `Quick test_pool_simultaneous_failures;
     Alcotest.test_case "pool: stealing run queue claims each item once"
-      `Quick test_pool_run_steal;
+      `Quick test_pool_run_queue;
     Alcotest.test_case "pool: shutdown" `Quick test_pool_shutdown;
     Alcotest.test_case "pool: partitioned mutation" `Quick
       test_pool_partition_sum;

@@ -3,7 +3,7 @@
    workload sequentially (domains = 1) and in parallel and require (a)
    the run summary and (b) the per-shard snapshot report — every
    counter, queue stat, and per-shard virtual clock — to be
-   byte-identical.  That is the contract the shard-to-worker pinning
+   byte-identical.  That is the contract the exactly-once shard claims
    and the route/drain epoch barrier exist to keep. *)
 
 module B = Podopt_broker
@@ -76,9 +76,9 @@ let test_video_generic () =
   check_matches_sequential ~msg:"video generic, 2 domains" ~domains:2 run
 
 let test_shards_exceed_domains () =
-  (* 8 shards on 3 domains: uneven pinning (workers 0,1 carry 3 shards,
-     worker 2 carries 2) — order within a worker's shard set must still
-     match the sequential scan *)
+  (* 8 shards on 3 domains: more shards than workers, so workers claim
+     several shards each, in whatever order the race gives them — each
+     shard's results must still match the sequential scan *)
   let run ~domains =
     run_once ~domains ~shards:8 ~kind:B.Workload.Seccomm ~optimize:true
       (profile ~sessions:12 ~ops:6)

@@ -54,7 +54,6 @@ let gen_config =
       ]
   in
   let* checkpoint_every = 1 -- 64 in
-  let* steal = bool in
   let* route =
     oneof
       [
@@ -73,6 +72,7 @@ let gen_config =
   in
   return
     {
+      B.Broker.default_config with
       B.Broker.shards;
       batch;
       queue_limit;
@@ -84,9 +84,7 @@ let gen_config =
       tick;
       domains;
       faults;
-      profile_in = None;
       checkpoint_every;
-      steal;
       route;
       arrivals;
     }
@@ -97,7 +95,8 @@ let prop_config_roundtrip =
       B.Broker.config_of_string (B.Broker.config_to_string cfg) = Ok cfg)
 
 (* The parser accepts exactly the written key set: an unknown, a
-   duplicate or a missing key is an error naming the key. *)
+   duplicate or a missing key is an error naming the key, and so is a
+   count the broker would refuse to create. *)
 let test_config_rejects_bad_keys () =
   let text = B.Broker.config_to_string B.Broker.default_config in
   let rejects what ~mentions text =
@@ -121,7 +120,22 @@ let test_config_rejects_bad_keys () =
     |> String.concat " "
   in
   rejects "missing key" ~mentions:"tick" (without "tick");
-  rejects "bad value" ~mentions:"shards" ("shards=two " ^ without "shards")
+  rejects "bad value" ~mentions:"shards" ("shards=two " ^ without "shards");
+  rejects "removed steal key" ~mentions:"steal" (text ^ " steal=true");
+  List.iter
+    (fun (key, v) ->
+      rejects
+        (Printf.sprintf "%s=%s" key v)
+        ~mentions:key
+        (Printf.sprintf "%s=%s %s" key v (without key)))
+    [
+      ("shards", "0");
+      ("batch", "-1");
+      ("queue-limit", "0");
+      ("tick", "0");
+      ("domains", "0");
+      ("checkpoint-every", "0");
+    ]
 
 (* --- log version gate ---------------------------------------------------- *)
 
@@ -138,13 +152,23 @@ let test_log_rejects_other_versions () =
   let v6 =
     "V 6\nC 2 16 64 newest seccomm true true 42 50 1 none off 8 true hash periodic\n"
   in
-  match RL.of_string v6 with
-  | _ -> Alcotest.fail "v6 log loaded"
-  | exception RL.Format_error msg ->
-    Alcotest.(check string) "error names the version"
-      (Printf.sprintf "unsupported log version 6 (this build reads %d; re-record the run)"
-         RL.version)
-      msg
+  (* a version-7 log: key=value C line with the removed steal key *)
+  let v7 =
+    "V 7\nC shards=2 batch=16 queue-limit=64 policy=newest kind=seccomm \
+     optimize=true compile=true seed=42 tick=50 domains=1 faults=none \
+     checkpoint-every=8 steal=true route=hash arrivals=periodic\n"
+  in
+  List.iter
+    (fun (v, text) ->
+      match RL.of_string text with
+      | _ -> Alcotest.failf "v%d log loaded" v
+      | exception RL.Format_error msg ->
+        Alcotest.(check string) "error names the version"
+          (Printf.sprintf
+             "unsupported log version %d (this build reads %d; re-record the run)"
+             v RL.version)
+          msg)
+    [ (6, v6); (7, v7) ]
 
 (* --- log codec round-trip (property) ----------------------------------- *)
 
@@ -189,7 +213,6 @@ let gen_log =
   let* shards = 1 -- 4 in
   let* optimize = bool in
   let* compile = bool in
-  let* steal = bool in
   let* route =
     oneof
       [
@@ -220,7 +243,6 @@ let gen_log =
       seed;
       policy;
       kind;
-      steal;
       route;
       faults;
     }
@@ -257,9 +279,6 @@ let gen_log =
          []
     |> List.rev
   in
-  let* migrations =
-    list_size (0 -- 5) (quad (0 -- 30) (0 -- 7) (0 -- 3) (0 -- 3))
-  in
   let* jraw = list_size (0 -- 4) (string_size ~gen:printable (0 -- 20)) in
   let jlines =
     List.map (String.map (fun c -> if c = '\n' then ' ' else c)) jraw
@@ -274,7 +293,6 @@ let gen_log =
       sessions = warm @ meas;
       arrivals;
       fault_draws;
-      migrations;
       json;
     }
 

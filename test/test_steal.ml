@@ -1,23 +1,18 @@
-(* The work-stealing scheduler and its determinism contract.
+(* The parallel drain's shared run-queue and its determinism contract.
 
    Unit cases pin the route codec and the Zipf router's shape; the
    properties are the load-bearing part: (a) the exec primitives the
-   scheduler is built from (Chan under concurrent producers, Barrier
-   round reuse) neither lose nor duplicate under real domain
-   interleavings, and (b) the whole broker's observable output — serve
-   document, per-shard snapshots, run summary — is byte-identical with
-   stealing on and off, at random Zipf skews and domain counts.  That
-   last property is the tentpole invariant: stealing is scheduling,
-   never semantics.  The replay case closes the loop by checking the
-   recorded migration plan (the log's M lines) is re-derived move for
-   move. *)
+   drain is built from (Chan under concurrent producers, Barrier round
+   reuse) neither lose nor duplicate under real domain interleavings,
+   and (b) the whole broker's observable output — serve document,
+   per-shard snapshots, run summary — is byte-identical to the
+   sequential run at random Zipf skews and domain counts.  That last
+   property is the invariant: which worker claims a shard is
+   scheduling, never semantics. *)
 
 module B = Podopt_broker
 module Chan = Podopt_exec.Chan
 module Barrier = Podopt_exec.Barrier
-module RL = Podopt.Replay_log
-module Record = Podopt.Record
-module Replay = Podopt.Replay
 
 (* --- route codec and router shape -------------------------------------- *)
 
@@ -148,9 +143,9 @@ let prop_barrier_rounds =
       List.iter Domain.join doms;
       Barrier.rounds b = rounds && Array.for_all (fun c -> c = rounds) counts)
 
-(* --- property: steal on/off byte-identity ------------------------------ *)
+(* --- property: parallel = sequential byte-identity ---------------------- *)
 
-let serve_doc ~steal ~route ~domains ~seed profile =
+let serve_doc ~route ~domains ~seed profile =
   let cfg =
     {
       B.Broker.default_config with
@@ -160,7 +155,6 @@ let serve_doc ~steal ~route ~domains ~seed profile =
       queue_limit = 256;
       seed;
       domains;
-      steal;
       route;
     }
   in
@@ -173,10 +167,10 @@ let serve_doc ~steal ~route ~domains ~seed profile =
       let snapshots = Fmt.str "%a" B.Report.pp_snapshots broker in
       (json, snapshots, summary))
 
-let prop_steal_identity =
+let prop_parallel_identity =
   (* random Zipf skew, domain count, seed and load shape: the serve
-     document, snapshot report and summary with stealing on equal the
-     stealing-off AND the sequential run byte for byte *)
+     document, snapshot report and summary of the parallel drain equal
+     the sequential run's byte for byte *)
   let gen =
     QCheck2.Gen.(
       tup4 (int_range 2 4) (int_range 1 99)
@@ -192,7 +186,7 @@ let prop_steal_identity =
       sessions ops
   in
   QCheck2.Test.make
-    ~name:"any zipf skew and domain count: steal on = steal off = sequential"
+    ~name:"any zipf skew and domain count: parallel = sequential"
     ~count:15 ~print gen (fun (domains, seed, skew, (sessions, ops)) ->
       let route =
         match skew with
@@ -208,63 +202,12 @@ let prop_steal_identity =
           spread = 31;
         }
       in
-      let run ~steal ~domains =
-        serve_doc ~steal ~route ~domains ~seed:(Int64.of_int seed) profile
+      let run domains =
+        serve_doc ~route ~domains ~seed:(Int64.of_int seed) profile
       in
-      let j_seq, s_seq, sum_seq = run ~steal:false ~domains:1 in
-      let j_on, s_on, sum_on = run ~steal:true ~domains in
-      let j_off, s_off, sum_off = run ~steal:false ~domains in
-      String.equal j_on j_seq && String.equal j_off j_seq
-      && String.equal s_on s_seq && String.equal s_off s_seq
-      && sum_on = sum_seq && sum_off = sum_seq)
-
-(* --- replay re-derives the migration plan ------------------------------ *)
-
-let test_replay_migrations () =
-  (* record a skewed parallel run cold (no warm-up, so the smoothed
-     plan converges inside the measured window and its migrations land
-     in the log), then check the M lines are non-trivial, survive the
-     text codec, and are re-derived exactly by a replay at the recorded
-     domain count *)
-  let cfg =
-    {
-      B.Broker.default_config with
-      B.Broker.shards = 8;
-      kind = B.Workload.Seccomm;
-      optimize = true;
-      queue_limit = 256;
-      seed = 11L;
-      domains = 2;
-      steal = true;
-      route = B.Shard_map.Zipf 1.4;
-    }
-  in
-  let profile =
-    {
-      B.Loadgen.default_profile with
-      B.Loadgen.sessions = 16;
-      ops = 10;
-      interval = 80;
-      spread = 31;
-    }
-  in
-  let log = Record.run ~warmup_ops:0 cfg profile in
-  Alcotest.(check bool)
-    "the recorded run migrated" true
-    (log.RL.migrations <> []);
-  let log = RL.of_string (RL.to_string log) in
-  let outcome = Replay.run log in
-  Alcotest.(check bool) "document byte-identical" true
-    (String.equal outcome.Replay.json log.RL.json);
-  Alcotest.(check bool) "migration plan re-derived exactly" false
-    outcome.Replay.migration_mismatch;
-  (* at a different domain count the plan legitimately differs and is
-     not compared *)
-  let outcome4 = Replay.run ~domains:4 log in
-  Alcotest.(check bool) "document still byte-identical at 4 domains" true
-    (String.equal outcome4.Replay.json log.RL.json);
-  Alcotest.(check bool) "plan not compared across domain counts" false
-    outcome4.Replay.migration_mismatch
+      let j_seq, s_seq, sum_seq = run 1 in
+      let j_par, s_par, sum_par = run domains in
+      String.equal j_par j_seq && String.equal s_par s_seq && sum_par = sum_seq)
 
 let suite =
   [
@@ -273,7 +216,5 @@ let suite =
       test_zipf_routing_shape;
     QCheck_alcotest.to_alcotest prop_chan_interleaving;
     QCheck_alcotest.to_alcotest prop_barrier_rounds;
-    QCheck_alcotest.to_alcotest prop_steal_identity;
-    Alcotest.test_case "replay re-derives the recorded migration plan" `Quick
-      test_replay_migrations;
+    QCheck_alcotest.to_alcotest prop_parallel_identity;
   ]
